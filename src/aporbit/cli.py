@@ -763,7 +763,22 @@ _OVERLAYS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared for the rest of the process.
+
+    Building its thirteen subparsers costs milliseconds, as much as a cheap
+    search; parsing leaves the parser unchanged, so one serves every call.
+    """
+    global _parser
+    if _parser is None:
+        _parser = _new_parser()
+    return _parser
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aporbit",
         description=(

@@ -28,25 +28,23 @@ def growth_profile(t) -> float:
 _verified_to = 4
 
 
-def check_growth_monotone(hi: int) -> None:
-    """Pairwise-increasing check of the profile on an integer grid up to hi.
+def _grid_ratio(hi: int) -> float:
+    """Ratio of the geometric part of the grid that reaches hi."""
+    return (hi / _DENSE_PREFIX) ** (1.0 / (_GRID_SAMPLES - (_DENSE_PREFIX - 3)))
 
-    The continuous profile dips just above t = 4 (the innermost log has
-    unbounded slope there), so the guard samples integers: that is the
-    grid the bisection in profile_inverse actually walks.  Raises
-    MonotonicityError on any violation; successes are cached.
+
+def _grid(lo: int, hi: int) -> list[int]:
+    """Integer sample points from lo to hi, both included.
+
+    Every integer up to _DENSE_PREFIX, then geometric steps with the
+    ratio that spreads _GRID_SAMPLES points from 4 to hi.
     """
-    global _verified_to
-    hi = int(hi)
-    if hi <= _verified_to:
-        return
-    samples = list(range(4, min(hi, _DENSE_PREFIX) + 1))
+    samples = [lo, *range(lo + 1, min(hi, _DENSE_PREFIX) + 1)]
     if hi > _DENSE_PREFIX:
-        count = max(_GRID_SAMPLES - len(samples), 2)
-        ratio = (hi / _DENSE_PREFIX) ** (1.0 / count)
-        t = float(_DENSE_PREFIX)
-        prev = _DENSE_PREFIX
-        for _ in range(count):
+        ratio = _grid_ratio(hi)
+        prev = samples[-1]
+        t = float(prev)
+        while True:
             t *= ratio
             nxt = max(prev + 1, int(t))
             if nxt >= hi:
@@ -54,6 +52,25 @@ def check_growth_monotone(hi: int) -> None:
             samples.append(nxt)
             prev = nxt
         samples.append(hi)
+    return samples
+
+
+def check_growth_monotone(hi: int) -> None:
+    """Pairwise-increasing check of the profile on an integer grid up to hi.
+
+    The continuous profile dips just above t = 4 (the innermost log has
+    unbounded slope there), so the guard samples integers: that is the
+    grid the bisection in profile_inverse actually walks.  Successes are
+    cached: a larger hi extends the checked grid from the bound already
+    verified, joined to it by one pair and sampled with the ratio for the
+    new hi, and never resamples the prefix.  Raises MonotonicityError on
+    any violation.
+    """
+    global _verified_to
+    hi = int(hi)
+    if hi <= _verified_to:
+        return
+    samples = _grid(_verified_to, hi)
     prev_t = samples[0]
     prev_v = growth_profile(prev_t)
     for t in samples[1:]:

@@ -1,10 +1,14 @@
 """Return sets and constructive recurrence searches for weighted shifts.
 
-Every search here is a bounded semi-decision: a returned witness has had
-each membership re-verified exactly (via `verify_return_times`, which
-recomputes iterates from scratch rather than trusting the candidate
-algebra), while a `None` / raised stage failure is *inconclusive* — it
-never refutes the corresponding unbounded statement.
+Every return time is checked on one lazy walk along the orbit of x
+(`_walk`): the operator is applied step by step from x, ascending times
+share the walk, and the scalar lambda_t is applied afresh at each time t.
+A search stops a candidate at its first miss, so a candidate that already
+misses the ball at time 0 costs no application of the operator.  A
+returned witness has each membership re-verified exactly, by a fresh walk
+from x in `verify_return_times` that trusts nothing of the candidate
+algebra that built x, while a `None` / raised stage failure is
+*inconclusive* — it never refutes the corresponding unbounded statement.
 
 Distances are reported as exact rationals; in the l2 case the squared
 distance is reported so no irrational square root is ever taken.
@@ -60,6 +64,40 @@ def membership_gap(x: FiniteVector, ball: Ball) -> Fraction:
     return diff.sup()
 
 
+def _walk(seq: MapSequence, x: FiniteVector, times, mode: str):
+    """Yield lambda_t T^t x for each t in times, in the order given.
+
+    One forward walk from x serves ascending times; a time below the
+    walk's position restarts it from x.  The scalar is applied to a copy
+    at each time and never carried along the walk.  Lazy, so a caller that
+    stops early pays only for the times it consumed.
+    """
+    op = seq.operator
+    scalars = seq.scalars if isinstance(seq, ScaledIterates) else None
+    pos, v = 0, x
+    for t in times:
+        if t < 0:
+            raise InvalidArgumentError("iteration count must be non-negative")
+        if t < pos:
+            pos, v = 0, x
+        while pos < t:
+            v = apply(op, v)
+            pos += 1
+        if scalars is None:
+            yield v
+        else:
+            lam = _scalar_value(scalars, t, mode)
+            yield v if lam == 1 else v.scale(lam)
+
+
+def _all_return(
+    seq: MapSequence, x: FiniteVector, ball: Ball, times, mode: str
+) -> bool:
+    """True when every requested iterate lands in the ball; stops at the first miss."""
+    tol = _tolerance(mode)
+    return all(in_ball(v, ball, tol) for v in _walk(seq, x, times, mode))
+
+
 def verify_return_times(
     seq: MapSequence,
     x: FiniteVector,
@@ -67,15 +105,16 @@ def verify_return_times(
     times,
     mode: str = EXACT,
 ) -> tuple[bool, ...]:
-    """Re-check each claimed return time independently.
+    """Check each requested return time: one bool per time, in the order given.
 
-    Each iterate is recomputed from x from scratch; nothing from the
-    search that produced the times is reused, so a passing tuple is a
-    sound certificate on its own.
+    The iterates come from one walk along the orbit of x (ascending times
+    share it, a smaller time restarts it from x); nothing from the search
+    that produced x or the times is reused, so a passing tuple is a sound
+    certificate on its own.
     """
     _check_mode(mode)
     tol = _tolerance(mode)
-    return tuple(in_ball(iterate(seq, x, n, mode), ball, tol) for n in times)
+    return tuple(in_ball(v, ball, tol) for v in _walk(seq, x, times, mode))
 
 
 def return_set(
@@ -226,7 +265,9 @@ def multirec_witness(
 
     Candidates use steps beyond the center's support, so the backward
     shift strips the lifted layers one at a time and the final iterate
-    reproduces the center exactly.  None is inconclusive.
+    reproduces the center exactly.  Each candidate's walk stops at its
+    first miss; the winner's memberships and distances are recomputed
+    from its own orbit.  None is inconclusive.
     """
     _check_mode(mode)
     if m < 0:
@@ -240,11 +281,9 @@ def multirec_witness(
     for q in range(start, q_max + 1):
         x = multirec_candidate(weights, y, q, m)
         times = [j * q for j in range(m + 1)]
-        checks = verify_return_times(seq, x, ball, times, mode)
-        if all(checks):
-            gaps = tuple(
-                membership_gap(iterate(seq, x, n, mode), ball) for n in times
-            )
+        if _all_return(seq, x, ball, times, mode):
+            checks = verify_return_times(seq, x, ball, times, mode)
+            gaps = tuple(membership_gap(v, ball) for v in _walk(seq, x, times, mode))
             return RecurrenceWitness(q, x, m, checks, gaps)
     return None
 
@@ -481,8 +520,9 @@ def pair_recurrence_search(
 
     Candidates stack two lifts: an inner lift-sum toward each V_i center
     (as in multirec_witness) and an outer a-step lift that parks the
-    whole packet beyond U's center.  Smallest (q, a) wins; every
-    membership of a returned pair is re-verified from scratch.  None is
+    whole packet beyond U's center.  Smallest (q, a) wins.  A candidate's
+    walks stop at its first miss, so a returned pair has had every
+    membership checked on full walks from x1 and x2.  None is
     inconclusive.
     """
     _check_mode(mode)
@@ -507,10 +547,10 @@ def pair_recurrence_search(
             x2 = y_u + lift_vector(weights, z2, a)
             times = [a + j * q for j in range(m + 1)]
             ok = (
-                all(verify_return_times(seq, x1, U, [0], mode))
-                and all(verify_return_times(seq, x2, U, [0], mode))
-                and all(verify_return_times(seq, x1, V1, times, mode))
-                and all(verify_return_times(seq, x2, V2, times, mode))
+                _all_return(seq, x1, U, [0], mode)
+                and _all_return(seq, x2, U, [0], mode)
+                and _all_return(seq, x1, V1, times, mode)
+                and _all_return(seq, x2, V2, times, mode)
             )
             if ok:
                 return PairWitness(x1, x2, a, q, m)

@@ -8,9 +8,10 @@ threads a JSON-path string so schema errors point at the exact field.
 """
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import BudgetExceededError, SchemaError
 from .spaces import (
     BILATERAL,
     INF,
@@ -41,7 +42,14 @@ _BASIS_RE = re.compile(r"^e(-?\d+)$")
 
 def format_fraction(value: Fraction) -> str:
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        # str(int) refuses integers past sys.get_int_max_str_digits()
+        raise BudgetExceededError(
+            "a rational in the report has more digits than Python will convert "
+            f"to text ({sys.get_int_max_str_digits()}); lower the horizon or step bounds"
+        ) from None
 
 
 def parse_fraction(obj, path: str = "$") -> Fraction:

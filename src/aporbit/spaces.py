@@ -12,8 +12,9 @@ squares, and open balls use strict inequality.  Instances here are
 immutable, so values can be shared freely across threads or processes.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt
 from typing import Mapping, Union
@@ -36,6 +37,13 @@ def _coeff(value) -> Fraction:
             "float coefficients are not allowed; convert explicitly via Fraction"
         )
     return Fraction(value)
+
+
+def _trusted(entries: dict) -> "FiniteVector":
+    """Wrap a dict of distinct indices and nonzero Fractions without re-checking it."""
+    out = FiniteVector.__new__(FiniteVector)
+    out._entries = entries
+    return out
 
 
 class FiniteVector:
@@ -87,9 +95,7 @@ class FiniteVector:
                 data.pop(idx, None)
             else:
                 data[idx] = s
-        out = FiniteVector.__new__(FiniteVector)
-        out._entries = data
-        return out
+        return _trusted(data)
 
     def __sub__(self, other: "FiniteVector") -> "FiniteVector":
         return self + other.scale(-1)
@@ -98,14 +104,10 @@ class FiniteVector:
         s = _coeff(scalar)
         if s == 0:
             return FiniteVector()
-        out = FiniteVector.__new__(FiniteVector)
-        out._entries = {idx: c * s for idx, c in self._entries.items()}
-        return out
+        return _trusted({idx: c * s for idx, c in self._entries.items()})
 
     def shift_support(self, offset: int) -> "FiniteVector":
-        out = FiniteVector.__new__(FiniteVector)
-        out._entries = {idx + offset: c for idx, c in self._entries.items()}
-        return out
+        return _trusted({idx + offset: c for idx, c in self._entries.items()})
 
     def l1(self) -> Fraction:
         return sum((abs(c) for c in self._entries.values()), Fraction(0))
@@ -313,6 +315,53 @@ class ExplicitWeights(WeightSpec):
         return max(self.values)
 
 
+#: valley levels held in the profile table.  Levels 13 and deeper raise the
+#: profile only from 16! - 12 (about 2.1e13) on, far beyond any orbit walk;
+#: indices that far out fall back to the formula, so the table stays under
+#: 2 000 entries whatever the depth.
+_VALLEY_TABLE_LEVELS = 12
+
+# w_n = a_(n-1)/a_n = 2^(g(n) - g(n-1)), and the profile g moves by at
+# most 1 per index (it is a maximum of 1-Lipschitz distances)
+_VALLEY_WEIGHTS = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(2)}
+
+
+def _valley_profile(depth: int, n: int) -> int:
+    """The valley profile g(n) for levels 1..depth, straight from its definition."""
+    g = 0
+    for level in range(1, depth + 1):
+        step = factorial(level + 3)
+        for j in range(1, level + 1):
+            lo = j * step
+            if n < lo:
+                d = lo - n
+            elif n > lo + level:
+                d = n - (lo + level)
+            else:
+                d = 0
+            if d < level:
+                g = max(g, level - d)
+    return g
+
+
+@functools.cache
+def _valley_table(levels: int) -> dict[int, int]:
+    """index -> g(index) for every index where levels 1..levels give g > 0.
+
+    A level-l block [lo, lo + l] raises g only within distance l - 1 of
+    itself, so those windows hold every nonzero value.  The dict is shared
+    by every instance of that depth and never mutated.
+    """
+    table = {}
+    for level in range(1, levels + 1):
+        step = factorial(level + 3)
+        for j in range(1, level + 1):
+            lo = j * step
+            for n in range(lo - level + 1, lo + 2 * level):
+                table[n] = _valley_profile(levels, n)
+    return table
+
+
 @dataclass(frozen=True)
 class ValleyWeights(WeightSpec):
     """Graded valley family: basis sizes dip to 2^-m on rare blocks.
@@ -325,12 +374,21 @@ class ValleyWeights(WeightSpec):
     """
 
     depth: int
+    _table: dict = field(init=False, repr=False, compare=False)
+    _table_end: object = field(init=False, repr=False, compare=False)
 
     kind = "valley"
 
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise InvalidArgumentError("depth must be >= 1")
+        levels = min(self.depth, _VALLEY_TABLE_LEVELS)
+        object.__setattr__(self, "_table", _valley_table(levels))
+        end = INF
+        if self.depth > levels:
+            # the first index a level beyond the table can raise
+            end = factorial(levels + 4) - levels
+        object.__setattr__(self, "_table_end", end)
 
     def block_step(self, level: int) -> int:
         if not 1 <= level <= self.depth:
@@ -338,26 +396,15 @@ class ValleyWeights(WeightSpec):
         return factorial(level + 3)
 
     def profile(self, n: int) -> int:
-        g = 0
-        for level in range(1, self.depth + 1):
-            step = factorial(level + 3)
-            for j in range(1, level + 1):
-                lo = j * step
-                if n < lo:
-                    d = lo - n
-                elif n > lo + level:
-                    d = n - (lo + level)
-                else:
-                    d = 0
-                if d < level:
-                    g = max(g, level - d)
-        return g
+        if n < self._table_end:
+            return self._table.get(n, 0)
+        return _valley_profile(self.depth, n)
 
     def basis_size(self, n: int) -> Fraction:
         return Fraction(1, 2 ** self.profile(n))
 
     def weight(self, n: int) -> Fraction:
-        return self.basis_size(n - 1) / self.basis_size(n)
+        return _VALLEY_WEIGHTS[self.profile(n) - self.profile(n - 1)]
 
     def sup_bound(self) -> Fraction:
         return Fraction(2)
@@ -446,25 +493,32 @@ def operator_space(op: Operator) -> SpaceSpec:
 
 
 def apply(op: Operator, x: FiniteVector) -> FiniteVector:
-    """One exact application of the operator to a finitely supported vector."""
+    """One exact application of the operator to a finitely supported vector.
+
+    Every image is built without re-normalising: a shift moves distinct
+    indices to distinct indices and multiplies by a positive weight, so no
+    coefficient collides or vanishes.
+    """
     if isinstance(op, BackwardShift):
         uni = op.space.laterality == UNILATERAL
+        weight = op.weights.weight
         out: dict[int, Fraction] = {}
-        for n, c in x.items():
+        for n, c in x._entries.items():
             if uni and n < 0:
                 raise InvalidArgumentError("negative support in a unilateral space")
             if uni and n == 0:
                 continue
-            out[n - 1] = c * op.weights.weight(n)
-        return FiniteVector(out)
+            out[n - 1] = c * weight(n)
+        return _trusted(out)
     if isinstance(op, ForwardShift):
         uni = op.space.laterality == UNILATERAL
+        weight = op.weights.weight
         out = {}
-        for n, c in x.items():
+        for n, c in x._entries.items():
             if uni and n < 0:
                 raise InvalidArgumentError("negative support in a unilateral space")
-            out[n + 1] = c / op.weights.weight(n + 1)
-        return FiniteVector(out)
+            out[n + 1] = c / weight(n + 1)
+        return _trusted(out)
     if isinstance(op, Scaled):
         return apply(op.inner, x).scale(op.scalar)
     if isinstance(op, Power):
@@ -475,14 +529,14 @@ def apply(op: Operator, x: FiniteVector) -> FiniteVector:
     if isinstance(op, DirectSum):
         r = len(op.parts)
         split: list[dict[int, Fraction]] = [dict() for _ in range(r)]
-        for g, c in x.items():
+        for g, c in x._entries.items():
             split[g % r][g // r] = c
         merged: dict[int, Fraction] = {}
         for i, part in enumerate(op.parts):
-            image = apply(part, FiniteVector(split[i]))
-            for n, c in image.items():
+            image = apply(part, _trusted(split[i]))
+            for n, c in image._entries.items():
                 merged[n * r + i] = c
-        return FiniteVector(merged)
+        return _trusted(merged)
     raise InvalidArgumentError(f"not an operator: {op!r}")
 
 

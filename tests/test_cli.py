@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from aporbit import cli
 from aporbit.cli import main
 
 
@@ -453,6 +454,19 @@ class TestConfig:
         assert code == 2
         assert "num/den" in report["error"]
 
+    def test_orbit_past_the_digit_limit_is_an_input_error(self, capsys):
+        # the squared norm passes Python's 4300-digit text limit near n = 450
+        op = (
+            '{"kind":"power","exponent":10,"inner":{"kind":"backward",'
+            '"weights":{"kind":"constant","value":"3/2"},"laterality":"bilateral"}}'
+        )
+        code, report = run_json(
+            capsys, ["orbit", "--operator", op, "--x", "e0", "--horizon", "910"]
+        )
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert "digits" in report["error"]
+
     def test_error_report_shape(self, capsys):
         code, report = run_json(capsys, ["gowers", "--l", "2"])
         assert code == 2
@@ -525,6 +539,33 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "--command", "gowers", "--grid", "{nope"])
         assert code == 2
         assert "grid" in err
+
+
+# ---------------------------------------------------------------------------
+# the shared parser
+
+
+class TestParser:
+    CALLS = [
+        TestMultirec.BASE + ["--m", "2"],
+        ["szemeredi", "--n", "7", "--budget", "30", "--output", "csv"],
+        TestMultirec.BASE + ["--length", "2", "--q-max", "40"],
+        ["gowers", "--l", "11"],
+        TestMultirec.BASE + ["--m", "2", "--length", "3"],
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reports_match_a_fresh_parser(self, capsys, monkeypatch):
+        # no flag of one call may leak into the next through the shared parser
+        shared = [run_cli(capsys, argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_cli(capsys, argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ import random
 import mpmath as mp
 import pytest
 
+from aporbit import gowers
 from aporbit.errors import DomainError
 from aporbit.families import szemeredi_r
 from aporbit.gowers import (
+    _grid,
+    _grid_ratio,
     check_growth_monotone,
     gowers_bound,
     gowers_row,
@@ -52,6 +55,40 @@ class TestGrowthProfile:
         # second call with a smaller bound must be a no-op (covered by cache)
         check_growth_monotone(10**6)
         check_growth_monotone(10**3)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(4, 1000), (500, 1000), (4, 1101), (500, 20_000), (1100, 20_000),
+         (5000, 320_000), (160_000, 320_000), (4, 10**7), (160_000, 10**7)],
+    )
+    def test_extension_grid_as_dense_as_full_grid(self, lo, hi):
+        # extending the verified bound from lo samples the new stretch at
+        # least as densely as a grid built from 4 up to hi: a step from a
+        # goes at most to a * ratio, rounded up, or to a + 1
+        part = _grid(lo, hi)
+        assert part[0] == lo and part[-1] == hi
+        assert all(a < b for a, b in zip(part, part[1:]))
+        ratio = _grid_ratio(hi)
+        for a, b in zip(part, part[1:]):
+            assert b - a <= max(1, a * (ratio - 1) + ratio)
+
+    def test_growing_bounds_extend_the_verified_grid(self, monkeypatch):
+        # the bracket of every l in 4..200 widens the bound ~200 times; each
+        # widening samples only the new stretch (resampling from 4 each
+        # time took about 1.7 million evaluations)
+        monkeypatch.setattr(gowers, "_verified_to", 4)
+        evals = []
+        real = gowers.growth_profile
+
+        def counting(t):
+            evals.append(t)
+            return real(t)
+
+        monkeypatch.setattr(gowers, "growth_profile", counting)
+        for l in range(4, 201):
+            profile_inverse(l)
+        assert gowers._verified_to >= 160_000
+        assert len(evals) < 40_000
 
 
 class TestProfileInverse:

@@ -12,7 +12,9 @@ from aporbit.errors import (
     StageFailureError,
 )
 from aporbit.families import HitSet, find_homogeneous_ap
+from aporbit import recurrence, spaces
 from aporbit.recurrence import (
+    _tolerance,
     homogeneous_ap_union,
     inverse_witness,
     joint_return_count,
@@ -50,6 +52,7 @@ from aporbit.spaces import (
     ValleyWeights,
     ZERO,
     apply,
+    in_ball,
     iterate,
     weight_product,
 )
@@ -80,6 +83,35 @@ class TestMembership:
         ball = Ball(ZERO, Fraction(1, 10), L1)
         assert verify_return_times(seq, e(5), ball, [6, 7]) == (True, True)
         assert verify_return_times(seq, e(5), ball, [5, 6]) == (False, True)
+
+    @pytest.mark.parametrize(
+        "seq, mode",
+        [
+            (Iterates(BackwardShift(ValleyWeights(2), L1)), "exact"),
+            (Iterates(Scaled(Fraction(-1, 3), BackwardShift(W2, L1_BI))), "exact"),
+            (ScaledIterates(DyadicSqrtScalars(), doubling_shift()), "exact"),
+            (ScaledIterates(DyadicSqrtScalars(), doubling_shift()), "float"),
+            (ScaledIterates(ExpSqrtScalars(), BackwardShift(UnitWeights(), L1)), "float"),
+        ],
+    )
+    def test_verify_return_times_matches_each_iterate(self, seq, mode):
+        # unsorted times with repeats: the walk restarts from x on a smaller time
+        rng = random.Random(11)
+        x = e(3) + e(9, Fraction(-2, 5)) + e(24, Fraction(7, 3))
+        ball = Ball(e(1, Fraction(1, 2)), Fraction(1), spaces.operator_space(seq.operator))
+        for _ in range(5):
+            times = [rng.randrange(0, 30) for _ in range(12)] + [0, 2]
+            rng.shuffle(times)
+            times += times[:3]
+            expected = tuple(
+                in_ball(iterate(seq, x, n, mode), ball, _tolerance(mode)) for n in times
+            )
+            assert verify_return_times(seq, x, ball, times, mode) == expected
+            assert any(expected) and not all(expected)
+
+    def test_verify_return_times_rejects_negative_time(self):
+        with pytest.raises(InvalidArgumentError):
+            verify_return_times(Iterates(doubling_shift()), e(2), Ball(ZERO, 1, L1), [3, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +256,26 @@ class TestMultirec:
         seq = Iterates(doubling_shift())
         times = [j * w.q for j in range(w.m + 1)]
         assert all(verify_return_times(seq, w.x, Ball(e(1), Fraction(1, 5), L1), times))
+
+    def test_valley_search_walks_each_orbit_once(self, monkeypatch):
+        # ball 3e0 of radius 27/8 first admits q = 120 at m = 2; the
+        # candidates before it miss at time 0 and cost no application, and
+        # the winner takes three walks of 2q: the search, its re-verification
+        # and its distances (checking each time from scratch took ~22 000)
+        calls = []
+        real_apply = spaces.apply
+
+        def counting_apply(op, x):
+            calls.append(op)
+            return real_apply(op, x)
+
+        monkeypatch.setattr(spaces, "apply", counting_apply)
+        monkeypatch.setattr(recurrence, "apply", counting_apply)
+        ball = Ball(e(0, 3), Fraction(27, 8), L1)
+        w = multirec_witness(ValleyWeights(2), L1, ball, m=2, q_max=130)
+        assert w is not None and w.verified and w.q == 120
+        assert w.distances == (Fraction(3, 2), Fraction(3, 4), Fraction(0))
+        assert len(calls) <= 4 * 2 * w.q
 
     def test_deterministic(self):
         ball = Ball(e(0), Fraction(1, 4), L1)

@@ -1,5 +1,6 @@
 """Tests for the exact sequence-space kernel: vectors, norms, shifts, scalars."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -248,6 +249,35 @@ class TestValleyWeights:
             assert w.product_inverse(n) == brute
             assert w.product_inverse(n) == w.basis_size(n)
 
+    @staticmethod
+    def direct_profile(depth: int, n: int) -> int:
+        # g(n) = max(0, max over blocks [j*q_m, j*q_m + m] of m - dist(n, block))
+        g = 0
+        for m in range(1, depth + 1):
+            q = math.factorial(m + 3)
+            for j in range(1, m + 1):
+                dist = max(j * q - n, 0, n - (j * q + m))
+                g = max(g, m - dist)
+        return g
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_profile_matches_direct_formula(self, depth):
+        w = ValleyWeights(depth)
+        profile = [self.direct_profile(depth, n) for n in range(-6, 20_001)]
+        for n in range(-5, 20_001):
+            g = profile[n + 6]
+            assert w.profile(n) == g
+            assert w.basis_size(n) == Fraction(1, 2**g)
+            assert w.weight(n) == Fraction(2) ** (g - profile[n + 5])
+
+    def test_profile_past_the_table(self):
+        # levels beyond the table start just below 16!
+        w = ValleyWeights(13)
+        start = math.factorial(16)
+        for n in (start - 13, start - 12, start, start + 13, start + 25, 2 * start + 5):
+            assert w.profile(n) == self.direct_profile(13, n)
+        assert w.profile(start + 6) == 13
+
     def test_lift_factor_matches_basis_ratio(self):
         w = ValleyWeights(2)
         rng = random.Random(11)
@@ -301,6 +331,22 @@ class TestApply:
         op = BackwardShift(UnitWeights(), L1)
         with pytest.raises(InvalidArgumentError):
             apply(op, e(-1))
+
+    def test_image_stores_no_zero_coefficient(self):
+        rng = random.Random(7002)
+        ops = [
+            BackwardShift(ValleyWeights(2), L1),
+            BackwardShift(ConstantWeights(Fraction(2)), L1_BI),
+            ForwardShift(ConstantWeights(Fraction(3, 2)), L1),
+            Scaled(Fraction(-2, 3), BackwardShift(UnitWeights(), L1)),
+            Power(3, BackwardShift(ConstantWeights(Fraction(1, 2)), L1)),
+            DirectSum((BackwardShift(UnitWeights(), L1), ForwardShift(ConstantWeights(Fraction(2)), L1))),
+        ]
+        for op in ops:
+            for _ in range(30):
+                x = random_vector(rng, span=130)
+                image = apply(op, x)
+                assert all(c != 0 for _, c in image.items())
 
     def test_linearity(self):
         rng = random.Random(7001)

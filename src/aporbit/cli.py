@@ -1,9 +1,10 @@
 """Command-line front end: config in, JSON/CSV report out.
 
 Exit-code discipline: 0 only for a verified value or witness, 1 for an
-exhausted (inconclusive) search, 2 for invalid input.  Reports echo the
-effective config verbatim so that re-running with `--config` on that
-echo reproduces the report byte-for-byte in exact mode.
+exhausted (inconclusive) search, 2 for invalid input, which includes a
+float past the range of a double.  Reports echo the effective config
+verbatim so that re-running with `--config` on that echo reproduces the
+report byte-for-byte in exact mode.
 
 One convention boundary lives here and only here: the core recurrence
 operations count a pattern by its extra returns m (a witness visits the
@@ -49,11 +50,11 @@ from .recurrence import (
     verify_universal,
 )
 from .serialize import (
-    ball_to_json,
     format_fraction,
     parse_ball,
     parse_fraction,
     parse_operator,
+    parse_p,
     parse_scalars,
     parse_vector,
     parse_weights,
@@ -131,14 +132,7 @@ def _resolve_m(config, path="$", default=None):
 
 
 def _parse_space(config, path="$"):
-    p = config.get("p", 1)
-    if p == "inf":
-        from .spaces import INF
-
-        return SpaceSpec(INF, UNILATERAL)
-    if isinstance(p, bool) or p not in (1, 2):
-        raise SchemaError(f"{path}.p", f"p must be 1, 2, or \"inf\", got {p!r}")
-    return SpaceSpec(p, UNILATERAL)
+    return SpaceSpec(parse_p(config.get("p", 1), f"{path}.p"), UNILATERAL)
 
 
 def _parse_set_values(config, path="$"):
@@ -159,8 +153,17 @@ def _fr(value, mode):
     return float(value) if mode == "float" else format_fraction(value)
 
 
-def _witness_vector(v):
-    return vector_to_json(v)
+def _exhausted(bounds, header, **fields):
+    """The report of a search that ran out of bounds: exit 1, no rows, inconclusive."""
+    payload = {
+        "verdict": "exhausted",
+        "verified": False,
+        "conclusive": False,
+        "bounds": bounds,
+        **fields,
+        "note": _INCONCLUSIVE_NOTE,
+    }
+    return RunResult(payload, EXHAUSTED, header, [])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def run_orbit(config, mode):
         rows.append(
             {
                 "n": n,
-                "vector": _witness_vector(v),
+                "vector": vector_to_json(v),
                 "l1": _fr(l1, mode),
                 "l2_squared": _fr(l2sq, mode),
                 "sup": _fr(sup, mode),
@@ -316,15 +319,7 @@ def run_multirec(config, mode):
     q_max = _bound(config, "q_max", 100, bounds)
     witness = multirec_witness(weights, space, ball, m, q_max, mode)
     if witness is None:
-        payload = {
-            "verdict": "exhausted",
-            "verified": False,
-            "conclusive": False,
-            "bounds": bounds,
-            "m": m,
-            "note": _INCONCLUSIVE_NOTE,
-        }
-        return RunResult(payload, EXHAUSTED, ("j", "time", "distance"), [])
+        return _exhausted(bounds, ("j", "time", "distance"), m=m)
     payload = {
         "verdict": "witness",
         "verified": witness.verified,
@@ -333,7 +328,7 @@ def run_multirec(config, mode):
         "witness": {
             "q": witness.q,
             "m": witness.m,
-            "x": _witness_vector(witness.x),
+            "x": vector_to_json(witness.x),
             "memberships": list(witness.verified_memberships),
             "distances": [_fr(d, mode) for d in witness.distances],
         },
@@ -360,7 +355,7 @@ def run_universal(config, mode):
         "conclusive": True,
         "m": m,
         "k": k,
-        "ytilde": _witness_vector(ytilde),
+        "ytilde": vector_to_json(ytilde),
         "error": _fr(error, mode) if mode == "exact" else error,
     }
     return RunResult(
@@ -485,15 +480,7 @@ def run_pair_search(config, mode):
         weights, space, U, V1, V2, m, a_max, q_max, mode
     )
     if witness is None:
-        payload = {
-            "verdict": "exhausted",
-            "verified": False,
-            "conclusive": False,
-            "bounds": bounds,
-            "m": m,
-            "note": _INCONCLUSIVE_NOTE,
-        }
-        return RunResult(payload, EXHAUSTED, ("a", "q", "m"), [])
+        return _exhausted(bounds, ("a", "q", "m"), m=m)
     payload = {
         "verdict": "witness",
         "verified": True,
@@ -503,8 +490,8 @@ def run_pair_search(config, mode):
             "a": witness.a,
             "q": witness.q,
             "m": witness.m,
-            "x1": _witness_vector(witness.x1),
-            "x2": _witness_vector(witness.x2),
+            "x1": vector_to_json(witness.x1),
+            "x2": vector_to_json(witness.x2),
         },
     }
     return RunResult(
@@ -523,7 +510,7 @@ def run_nested(config, mode):
     def stage_json(st, index):
         return {
             "stage": index,
-            "center": _witness_vector(st.ball.center),
+            "center": vector_to_json(st.ball.center),
             "radius": format_fraction(st.ball.radius),
             "q": st.q,
         }
@@ -531,16 +518,12 @@ def run_nested(config, mode):
     try:
         refinement = nested_ball_refinement(weights, space, ball, stages, q_max, mode)
     except StageFailureError as exc:
-        payload = {
-            "verdict": "exhausted",
-            "verified": False,
-            "conclusive": False,
-            "bounds": bounds,
-            "failed_stage": exc.stage,
-            "stages": [stage_json(st, i) for i, st in enumerate(exc.completed)],
-            "note": _INCONCLUSIVE_NOTE,
-        }
-        return RunResult(payload, EXHAUSTED, ("stage", "q", "radius"), [])
+        return _exhausted(
+            bounds,
+            ("stage", "q", "radius"),
+            failed_stage=exc.stage,
+            stages=[stage_json(st, i) for i, st in enumerate(exc.completed)],
+        )
     stage_list = [stage_json(st, i) for i, st in enumerate(refinement.stages)]
     payload = {
         "verdict": "witness",
@@ -548,7 +531,7 @@ def run_nested(config, mode):
         "conclusive": True,
         "bounds": bounds,
         "stages": stage_list,
-        "point": _witness_vector(refinement.point),
+        "point": vector_to_json(refinement.point),
     }
     csv_rows = [
         (s["stage"], "" if s["q"] is None else s["q"], s["radius"])
@@ -907,17 +890,21 @@ def main(argv=None) -> int:
         ModeMismatchError,
         DomainError,
         BudgetExceededError,
+        OverflowError,
     ) as exc:
+        message = str(exc)
+        if isinstance(exc, OverflowError):
+            message = f"a number left the range of a double (about 1.8e308): {exc}"
         error_report = {
             "command": name,
             "mode": getattr(args, "mode", "exact"),
             "verdict": "error",
             "verified": False,
-            "error": str(exc),
+            "error": message,
         }
         out.write(json.dumps(error_report, indent=2, sort_keys=True))
         out.write("\n")
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         return INVALID
     except MonotonicityError as exc:
         error_report = {

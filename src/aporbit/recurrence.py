@@ -1,7 +1,7 @@
 """Return sets and constructive recurrence searches for weighted shifts.
 
 Every return time is checked on one lazy walk along the orbit of x
-(`_walk`): the operator is applied step by step from x, ascending times
+(`spaces.walk`): the operator is applied step by step from x, ascending times
 share the walk, and the scalar lambda_t is applied afresh at each time t.
 A search stops a candidate at its first miss, so a candidate that already
 misses the ball at time 0 costs no application of the operator.  A
@@ -33,12 +33,12 @@ from .spaces import (
     SpaceSpec,
     UnitWeights,
     WeightSpec,
-    apply,
     in_ball,
     invert,
-    iterate,
+    norm_key,
     orbit,
-    weight_product,
+    scalar_value,
+    walk,
 )
 
 EXACT = "exact"
@@ -56,38 +56,7 @@ def _tolerance(mode: str) -> Fraction | None:
 
 def membership_gap(x: FiniteVector, ball: Ball) -> Fraction:
     """Exact distance from x to the ball's center (squared when p = 2)."""
-    diff = x - ball.center
-    if ball.space.p == 1:
-        return diff.l1()
-    if ball.space.p == 2:
-        return diff.l2_squared()
-    return diff.sup()
-
-
-def _walk(seq: MapSequence, x: FiniteVector, times, mode: str):
-    """Yield lambda_t T^t x for each t in times, in the order given.
-
-    One forward walk from x serves ascending times; a time below the
-    walk's position restarts it from x.  The scalar is applied to a copy
-    at each time and never carried along the walk.  Lazy, so a caller that
-    stops early pays only for the times it consumed.
-    """
-    op = seq.operator
-    scalars = seq.scalars if isinstance(seq, ScaledIterates) else None
-    pos, v = 0, x
-    for t in times:
-        if t < 0:
-            raise InvalidArgumentError("iteration count must be non-negative")
-        if t < pos:
-            pos, v = 0, x
-        while pos < t:
-            v = apply(op, v)
-            pos += 1
-        if scalars is None:
-            yield v
-        else:
-            lam = _scalar_value(scalars, t, mode)
-            yield v if lam == 1 else v.scale(lam)
+    return norm_key(x - ball.center, ball.space.p)
 
 
 def _all_return(
@@ -95,7 +64,7 @@ def _all_return(
 ) -> bool:
     """True when every requested iterate lands in the ball; stops at the first miss."""
     tol = _tolerance(mode)
-    return all(in_ball(v, ball, tol) for v in _walk(seq, x, times, mode))
+    return all(in_ball(v, ball, tol) for v in walk(seq, x, times, mode))
 
 
 def verify_return_times(
@@ -114,7 +83,7 @@ def verify_return_times(
     """
     _check_mode(mode)
     tol = _tolerance(mode)
-    return tuple(in_ball(v, ball, tol) for v in _walk(seq, x, times, mode))
+    return tuple(in_ball(v, ball, tol) for v in walk(seq, x, times, mode))
 
 
 def return_set(
@@ -187,7 +156,7 @@ def shift_ap_criterion(
     def small(n: int) -> bool:
         a = sizes.get(n)
         if a is None:
-            a = weight_product(weights, n)
+            a = weights.lift_factor(0, n)
             sizes[n] = a
         return a <= eps
 
@@ -283,7 +252,7 @@ def multirec_witness(
         times = [j * q for j in range(m + 1)]
         if _all_return(seq, x, ball, times, mode):
             checks = verify_return_times(seq, x, ball, times, mode)
-            gaps = tuple(membership_gap(v, ball) for v in _walk(seq, x, times, mode))
+            gaps = tuple(membership_gap(v, ball) for v in walk(seq, x, times, mode))
             return RecurrenceWitness(q, x, m, checks, gaps)
     return None
 
@@ -363,12 +332,12 @@ def sequence_decay_check(
     for i in probe_indices:
         if i < 0:
             raise InvalidArgumentError("probe indices must be non-negative")
-        a_i = weight_product(weights, i)
+        a_i = weights.lift_factor(0, i)
         back = tuple(
-            weight_product(weights, i - n) / a_i if n <= i else Fraction(0)
+            weights.lift_factor(0, i - n) / a_i if n <= i else Fraction(0)
             for n in steps
         )
-        lift = tuple(weight_product(weights, i + n) / a_i for n in steps)
+        lift = tuple(weights.lift_factor(0, i + n) / a_i for n in steps)
         probes.append(DecayProbe(i, back, lift))
     if not probes:
         raise InvalidArgumentError("need at least one probe index")
@@ -395,12 +364,6 @@ def sequence_decay_check(
 # Universal vectors for scaled orbits of the plain backward shift
 
 
-def _scalar_value(scalars: ScalarSeq, n: int, mode: str) -> Fraction:
-    if mode == EXACT:
-        return scalars.value(n)
-    return Fraction(scalars.value_float(n))
-
-
 def universal_vector(
     scalars: ScalarSeq, y: FiniteVector, m: int, k: int, mode: str = EXACT
 ) -> FiniteVector:
@@ -424,7 +387,7 @@ def universal_vector(
         raise InvalidArgumentError("y must be supported on non-negative indices")
     out = y
     for j in range(1, m + 1):
-        lam = _scalar_value(scalars, j * k, mode)
+        lam = scalar_value(scalars, j * k, mode)
         out = out + y.shift_support(j * k).scale(1 / lam)
     return out
 
@@ -448,21 +411,14 @@ def verify_universal(
     ytilde = universal_vector(scalars, y, m, k, mode)
     shift_space = SpaceSpec(space.p, UNILATERAL)
     seq = ScaledIterates(scalars, BackwardShift(UnitWeights(), shift_space))
-    worst = Fraction(0)
-    for l in range(1, m + 1):
-        v = iterate(seq, ytilde, l * k, mode)
-        worst = max(worst, _norm(v - y, space.p))
+    times = [l * k for l in range(1, m + 1)]
+    worst = max(
+        (norm_key(v - y, space.p) for v in walk(seq, ytilde, times, mode)),
+        default=Fraction(0),
+    )
     if mode == FLOAT:
         return float(worst)
     return worst
-
-
-def _norm(v: FiniteVector, p) -> Fraction:
-    if p == 1:
-        return v.l1()
-    if p == 2:
-        return v.l2_squared()
-    return v.sup()
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +435,13 @@ def inverse_witness(op: Operator, x: FiniteVector, n: int, m: int) -> FiniteVect
     if n < 1 or m < 1:
         raise InvalidArgumentError("n and m must be positive")
     inv = invert(op)
-    y = iterate(Iterates(op), x, m * n)
-    for j in range(m + 1):
-        back = iterate(Iterates(inv), y, j * n)
-        fwd = iterate(Iterates(op), x, (m - j) * n)
-        if back != fwd:
+    times = [j * n for j in range(m + 1)]
+    fwd = list(walk(Iterates(op), x, times))
+    y = fwd[m]
+    for j, back in enumerate(walk(Iterates(inv), y, times)):
+        if back != fwd[m - j]:
             raise WorkbenchError(
-                f"inverse contract failed at j = {j}: {back!r} != {fwd!r}"
+                f"inverse contract failed at j = {j}: {back!r} != {fwd[m - j]!r}"
             )
     return y
 
@@ -640,13 +596,10 @@ def joint_return_count(
     if horizon < 0:
         raise InvalidArgumentError("horizon must be non-negative")
     tol = _tolerance(mode)
-    top = horizon + m * q
-    iterates: list[FiniteVector] = [x]
-    for _ in range(top):
-        iterates.append(apply(op, iterates[-1]))
+    iterates = list(walk(Iterates(op), x, range(horizon + m * q + 1)))
     count = 0
     for a in range(horizon + 1):
-        lam = _scalar_value(scalars, a, mode)
+        lam = scalar_value(scalars, a, mode)
         if all(
             in_ball(iterates[a + i * q].scale(lam), ball, tol) for i in range(m + 1)
         ):

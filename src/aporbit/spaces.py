@@ -150,26 +150,27 @@ class SpaceSpec:
             raise InvalidArgumentError("laterality must be unilateral or bilateral")
 
 
+def norm_key(x: FiniteVector, p) -> Fraction:
+    """||x||_p, squared when p = 2, so that it stays an exact rational."""
+    if p == 1:
+        return x.l1()
+    if p == 2:
+        return x.l2_squared()
+    return x.sup()
+
+
 def norm_lt(x: FiniteVector, bound: Fraction, p) -> bool:
     """Exact test of ||x||_p < bound."""
     if bound <= 0:
         return False
-    if p == 1:
-        return x.l1() < bound
-    if p == 2:
-        return x.l2_squared() < bound * bound
-    return x.sup() < bound
+    return norm_key(x, p) < (bound * bound if p == 2 else bound)
 
 
 def norm_le(x: FiniteVector, bound: Fraction, p) -> bool:
     """Exact test of ||x||_p <= bound."""
     if bound < 0:
         return False
-    if p == 1:
-        return x.l1() <= bound
-    if p == 2:
-        return x.l2_squared() <= bound * bound
-    return x.sup() <= bound
+    return norm_key(x, p) <= (bound * bound if p == 2 else bound)
 
 
 def _check_laterality(x: FiniteVector, space: SpaceSpec, role: str) -> None:
@@ -222,17 +223,8 @@ class WeightSpec:
         """Declared upper bound for the weights (shift continuity)."""
         raise NotImplementedError
 
-    def product_inverse(self, n: int) -> Fraction:
-        """prod_{l=1..n} 1/w_l: the exact size of the n-step basis lift."""
-        if n < 0:
-            raise InvalidArgumentError("n must be non-negative")
-        out = Fraction(1)
-        for l in range(1, n + 1):
-            out /= self.weight(l)
-        return out
-
     def lift_factor(self, start: int, steps: int) -> Fraction:
-        """prod_{l=start+1..start+steps} 1/w_l."""
+        """prod_{l=start+1..start+steps} 1/w_l; from start 0, the size of the basis lift."""
         if steps < 0:
             raise InvalidArgumentError("steps must be non-negative")
         out = Fraction(1)
@@ -258,11 +250,6 @@ class ConstantWeights(WeightSpec):
     def sup_bound(self) -> Fraction:
         return self.value
 
-    def product_inverse(self, n: int) -> Fraction:
-        if n < 0:
-            raise InvalidArgumentError("n must be non-negative")
-        return self.value ** -n
-
     def lift_factor(self, start: int, steps: int) -> Fraction:
         if steps < 0:
             raise InvalidArgumentError("steps must be non-negative")
@@ -277,11 +264,6 @@ class UnitWeights(WeightSpec):
         return Fraction(1)
 
     def sup_bound(self) -> Fraction:
-        return Fraction(1)
-
-    def product_inverse(self, n: int) -> Fraction:
-        if n < 0:
-            raise InvalidArgumentError("n must be non-negative")
         return Fraction(1)
 
     def lift_factor(self, start: int, steps: int) -> Fraction:
@@ -409,21 +391,11 @@ class ValleyWeights(WeightSpec):
     def sup_bound(self) -> Fraction:
         return Fraction(2)
 
-    def product_inverse(self, n: int) -> Fraction:
-        # the weight products telescope to a ratio of basis sizes
-        if n < 0:
-            raise InvalidArgumentError("n must be non-negative")
-        return self.basis_size(n) / self.basis_size(0)
-
     def lift_factor(self, start: int, steps: int) -> Fraction:
+        # the weight products telescope to a ratio of basis sizes
         if steps < 0:
             raise InvalidArgumentError("steps must be non-negative")
         return self.basis_size(start + steps) / self.basis_size(start)
-
-
-def weight_product(weights: WeightSpec, n: int) -> Fraction:
-    """prod_{l=1..n} 1/w_l, the basis-lift size after n steps."""
-    return weights.product_inverse(n)
 
 
 @dataclass(frozen=True)
@@ -653,46 +625,52 @@ class ScaledIterates:
 MapSequence = Union[Iterates, ScaledIterates]
 
 
-def sequence_operator(seq: MapSequence) -> Operator:
-    return seq.operator
-
-
-def _scalar_at(seq: MapSequence, n: int, mode: str) -> Fraction:
-    if isinstance(seq, Iterates):
-        return Fraction(1)
+def scalar_value(scalars: ScalarSeq, n: int, mode: str) -> Fraction:
+    """lambda_n; in float mode the double approximation, embedded exactly."""
     if mode == "exact":
-        return seq.scalars.value(n)
+        return scalars.value(n)
     if mode == "float":
-        # exact arithmetic over the float approximation of the scalar
-        return Fraction(seq.scalars.value_float(n))
+        return Fraction(scalars.value_float(n))
     raise InvalidArgumentError("mode must be 'exact' or 'float'")
 
 
-def iterate(seq: MapSequence, x: FiniteVector, n: int, mode: str = "exact") -> FiniteVector:
-    """lambda_n * T^n x (or plain T^n x), computed exactly.
+def walk(seq: MapSequence, x: FiniteVector, times, mode: str = "exact"):
+    """Yield lambda_t T^t x (or plain T^t x) for each t in times, in the order given.
 
-    In float mode the scalar is the double approximation embedded exactly
-    into the rationals; callers deciding memberships must pair this with
-    the tolerant ball test.
+    One forward walk from x serves ascending times; a time below the
+    walk's position restarts it from x.  The scalar is applied to a copy
+    at each time and never carried along the walk.  Lazy, so a caller that
+    stops early pays only for the times it consumed.  In float mode the
+    scalar is the double approximation embedded exactly into the
+    rationals; callers deciding memberships must pair this with the
+    tolerant ball test.
     """
-    if n < 0:
-        raise InvalidArgumentError("iteration count must be non-negative")
-    v = x
-    op = sequence_operator(seq)
-    for _ in range(n):
-        v = apply(op, v)
-    lam = _scalar_at(seq, n, mode)
-    return v if lam == 1 else v.scale(lam)
+    op = seq.operator
+    scalars = seq.scalars if isinstance(seq, ScaledIterates) else None
+    pos, v = 0, x
+    for t in times:
+        if t < 0:
+            raise InvalidArgumentError("iteration count must be non-negative")
+        if t < pos:
+            pos, v = 0, x
+        while pos < t:
+            v = apply(op, v)
+            pos += 1
+        if scalars is None:
+            yield v
+        else:
+            lam = scalar_value(scalars, t, mode)
+            yield v if lam == 1 else v.scale(lam)
+
+
+def iterate(seq: MapSequence, x: FiniteVector, n: int, mode: str = "exact") -> FiniteVector:
+    """lambda_n * T^n x (or plain T^n x), computed exactly."""
+    return next(walk(seq, x, (n,), mode))
 
 
 def orbit(seq: MapSequence, x: FiniteVector, horizon: int, mode: str = "exact"):
-    """Yield (n, lambda_n * T^n x) for n = 0..horizon, applying T incrementally."""
+    """Yield (n, lambda_n * T^n x) for n = 0..horizon, along one walk."""
     if horizon < 0:
         raise InvalidArgumentError("horizon must be non-negative")
-    op = sequence_operator(seq)
-    v = x
-    for n in range(horizon + 1):
-        lam = _scalar_at(seq, n, mode)
-        yield n, (v if lam == 1 else v.scale(lam))
-        if n < horizon:
-            v = apply(op, v)
+    times = range(horizon + 1)
+    yield from zip(times, walk(seq, x, times, mode))

@@ -455,17 +455,29 @@ class TestConfig:
         assert "num/den" in report["error"]
 
     def test_orbit_past_the_digit_limit_is_an_input_error(self, capsys):
-        # the squared norm passes Python's 4300-digit text limit near n = 450
+        # the squared norm passes Python's 4300-digit text limit near n = 450,
+        # and in float mode it overflows a double long before that
         op = (
             '{"kind":"power","exponent":10,"inner":{"kind":"backward",'
             '"weights":{"kind":"constant","value":"3/2"},"laterality":"bilateral"}}'
         )
+        argv = ["orbit", "--operator", op, "--x", "e0", "--horizon", "910"]
+        for extra, expected in (([], "digits"), (["--mode", "float"], "range of a double")):
+            code, report = run_json(capsys, argv + extra)
+            assert code == 2
+            assert report["verdict"] == "error"
+            assert expected in report["error"]
+
+    def test_float_scalar_past_a_double_is_an_input_error(self, capsys):
+        # e^sqrt(1200000) is past the largest double
         code, report = run_json(
-            capsys, ["orbit", "--operator", op, "--x", "e0", "--horizon", "910"]
+            capsys,
+            ["universal", "--mode", "float", "--scalars", "exp-sqrt", "--y", "e0",
+             "--m", "1", "--k", "600000"],
         )
         assert code == 2
-        assert report["verdict"] == "error"
-        assert "digits" in report["error"]
+        assert set(report) == {"command", "mode", "verdict", "verified", "error"}
+        assert "range of a double" in report["error"]
 
     def test_error_report_shape(self, capsys):
         code, report = run_json(capsys, ["gowers", "--l", "2"])

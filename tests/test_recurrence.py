@@ -12,7 +12,7 @@ from aporbit.errors import (
     StageFailureError,
 )
 from aporbit.families import HitSet, find_homogeneous_ap
-from aporbit import recurrence, spaces
+from aporbit import spaces
 from aporbit.recurrence import (
     _tolerance,
     homogeneous_ap_union,
@@ -54,7 +54,7 @@ from aporbit.spaces import (
     apply,
     in_ball,
     iterate,
-    weight_product,
+    walk,
 )
 
 L1 = SpaceSpec(1, UNILATERAL)
@@ -66,6 +66,16 @@ e = FiniteVector.basis
 
 def doubling_shift():
     return BackwardShift(W2, L1)
+
+
+def reference_iterate(seq, x, n, mode="exact"):
+    """lambda_n T^n x by a plain loop of apply and one scale, apart from the walker."""
+    for _ in range(n):
+        x = apply(seq.operator, x)
+    if isinstance(seq, Iterates):
+        return x
+    lam = seq.scalars.value(n) if mode == "exact" else Fraction(seq.scalars.value_float(n))
+    return x.scale(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +113,10 @@ class TestMembership:
             times = [rng.randrange(0, 30) for _ in range(12)] + [0, 2]
             rng.shuffle(times)
             times += times[:3]
-            expected = tuple(
-                in_ball(iterate(seq, x, n, mode), ball, _tolerance(mode)) for n in times
-            )
+            iterates = [reference_iterate(seq, x, n, mode) for n in times]
+            assert list(walk(seq, x, times, mode)) == iterates
+            assert [iterate(seq, x, n, mode) for n in times] == iterates
+            expected = tuple(in_ball(v, ball, _tolerance(mode)) for v in iterates)
             assert verify_return_times(seq, x, ball, times, mode) == expected
             assert any(expected) and not all(expected)
 
@@ -175,7 +186,7 @@ class TestCriterion:
     def test_boundary_equality_counts(self):
         # the deepest valley size is exactly 1/8 = epsilon: inclusive compare
         w = ValleyWeights(3)
-        assert weight_product(w, 720) == Fraction(1, 8)
+        assert w.lift_factor(0, 720) == Fraction(1, 8)
         rep = shift_ap_criterion(w, L1, Fraction(1, 8), 0, 3, 800)
         assert rep.cell(0, 3) == 720
         # anything strictly below 1/8 pushes the cell past every block
@@ -187,7 +198,7 @@ class TestCriterion:
         for (p, m), q in rep.grid.items():
             for j in range(1, m + 1):
                 for p_off in range(0, p + 1):
-                    assert weight_product(W2, j * q + p_off) <= rep.epsilon
+                    assert W2.lift_factor(0, j * q + p_off) <= rep.epsilon
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -270,7 +281,6 @@ class TestMultirec:
             return real_apply(op, x)
 
         monkeypatch.setattr(spaces, "apply", counting_apply)
-        monkeypatch.setattr(recurrence, "apply", counting_apply)
         ball = Ball(e(0, 3), Fraction(27, 8), L1)
         w = multirec_witness(ValleyWeights(2), L1, ball, m=2, q_max=130)
         assert w is not None and w.verified and w.q == 120
@@ -462,7 +472,7 @@ class TestInverseWitness:
             )
             n, m = rng.randint(1, 4), rng.randint(1, 3)
             y = inverse_witness(op, x, n, m)
-            assert y == iterate(Iterates(op), x, m * n)
+            assert y == reference_iterate(Iterates(op), x, m * n)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +607,7 @@ class TestCoherence:
         for (p, m), q0 in rep.grid.items():
             if q0 is None or m < 1:
                 continue
-            a_p = weight_product(weights, p)
+            a_p = weights.lift_factor(0, p)
             # candidate at the certified step keeps every partial sum small
             x = multirec_candidate(weights, e(p), q0, m)
             for i in range(m + 1):

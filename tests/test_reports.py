@@ -1,0 +1,174 @@
+"""Golden reports: the exit code and the sha256 of stdout of whole CLI calls.
+
+Each case pins one report byte for byte, so a change that alters any
+report, down to a key order or a trailing newline, fails here.  The cases
+cover every subcommand, the three exhausted-search payloads, float mode
+and a schema error.  After an intended report change, re-pin a case with
+`report_digest`.
+"""
+
+import hashlib
+
+import pytest
+
+from aporbit.cli import main
+
+CONST2 = '{"kind": "constant", "value": "2"}'
+UNIT = '{"kind": "unit"}'
+VALLEY2 = '{"kind": "valley", "depth": 2}'
+BILATERAL_SUM = (
+    '{"kind": "direct-sum", "parts": ['
+    '{"kind": "power", "exponent": 2, "inner": {"kind": "backward", '
+    '"weights": {"kind": "constant", "value": "3/2"}, "laterality": "bilateral"}}, '
+    '{"kind": "scaled", "scalar": "-1/2", "inner": {"kind": "forward", '
+    '"weights": {"kind": "valley", "depth": 1}, "laterality": "bilateral"}}]}'
+)
+
+CASES = {
+    "analyze-set": (
+        ["analyze-set", "--set", "[1,2,3,5,7,9,11,24,25]", "--window", "5"],
+        0,
+        "2a66da5a1fd37460d6ca4a0ad2a6c42f27776b7dfae175b679d48f62340cd50f",
+    ),
+    "orbit": (
+        ["orbit", "--operator", BILATERAL_SUM, "--x", "[[-3,1,3],[0,1,1],[5,2,7]]",
+         "--scalars", "dyadic-sqrt", "--horizon", "12"],
+        0,
+        "69f3b513c6c58aea1e6e5b08253470429e6f9f2ca54e30c4034ff5b3e0767be2",
+    ),
+    "orbit-csv": (
+        ["orbit", "--operator", '{"kind": "backward", "weights": ' + CONST2 + "}",
+         "--x", "e3", "--horizon", "5", "--output", "csv"],
+        0,
+        "d96490cbc463fcdd79b3b6f5543fe159aa4d2ed66d5ea69f92419d7b4492d558",
+    ),
+    "return-set": (
+        ["return-set", "--operator",
+         '{"kind": "power", "exponent": 2, "inner": {"kind": "backward", "weights": '
+         + VALLEY2 + "}}",
+         "--x", "[[0,1,1],[26,1,1],[31,1,2]]", "--ball", '{"center": "e0", "radius": "3/2"}',
+         "--horizon", "30"],
+        0,
+        "532349521c0e749dff2068b356d3f6c80e1cbbed5ebe1471500d5f033e4d09f2",
+    ),
+    "shift-check": (
+        ["shift-check", "--weights", VALLEY2, "--epsilon", "1/4", "--p-max", "1",
+         "--m-max", "2", "--q-max", "150"],
+        0,
+        "c9fb043d826435a19b283022bc183658eb084b2fc36faa17fa0115022812b291",
+    ),
+    "multirec": (
+        ["multirec", "--weights", VALLEY2, "--p", "2",
+         "--ball", '{"center": [[0,1,1],[1,-1,2]], "radius": "1/2", "p": 2}', "--m", "2",
+         "--q-max", "130"],
+        0,
+        "7aca5eee0e3263726e83ed513fd87086b7210d9c3916be929e2f79fd17b14ad9",
+    ),
+    "universal": (
+        ["universal", "--scalars", "dyadic-sqrt", "--y", "[[0,1,1],[2,-1,3]]", "--m", "3",
+         "--k", "9", "--p", "2"],
+        0,
+        "89f0d83691b443b107653025bb0885761e7cc773880020b1446888870e334456",
+    ),
+    "gowers": (
+        ["gowers", "--l-min", "4", "--l-max", "12"],
+        0,
+        "95110877f827c660e49b6dd64da29e1a822e547f33a4515bf0120cc941b6a75f",
+    ),
+    "szemeredi": (
+        ["szemeredi", "--n", "12", "--k", "3"],
+        0,
+        "2bc43b97bdf4e352eb51c7677578cba1ef0a9dfab5d84b1aa6809f89a763995d",
+    ),
+    "vdw": (
+        ["vdw", "--n", "8"],
+        0,
+        "a04b150ef1bde0b42e375cce87c7d0a7f652b6abde9f187efe80e60ef1fd54d9",
+    ),
+    "pair-search": (
+        ["pair-search", "--weights", CONST2, "--u", '{"center": "e0", "radius": "1/2"}',
+         "--v1", '{"center": [], "radius": "1/2"}', "--v2", '{"center": "e0", "radius": "1/2"}',
+         "--m", "1"],
+        0,
+        "d8a1f137f3fb6f8108148544584b46028e86af34f53dc06a40c03233167ed641",
+    ),
+    "nested": (
+        ["nested", "--weights", CONST2, "--ball", '{"center": "e0", "radius": "1/2"}',
+         "--stages", "2", "--q-max", "64"],
+        0,
+        "97d3d32f31749ae93d986804c3d8a85a938603c061bb44a8a07baf3ecf95648f",
+    ),
+    "puig-count": (
+        ["puig-count", "--operator", '{"kind": "backward", "weights": ' + CONST2 + "}",
+         "--x", "[[0, 1, 1], [3, 1, 8], [6, 1, 64]]",
+         "--ball", '{"center": "e0", "radius": "1/4"}', "--m", "2", "--q", "3",
+         "--horizon", "12"],
+        0,
+        "bafeddee01ef37c10f4dba208f42a8816f838c168fa937427152d8b39aa4b7c8",
+    ),
+    "sweep": (
+        ["sweep", "--command", "multirec", "--grid",
+         '{"weights": [' + CONST2 + ", " + UNIT + '], '
+         '"ball": [{"center": "e0", "radius": "1/4"}], "m": [1, 2], "q_max": [20]}'],
+        1,
+        "49efb58c84a90978b13681752d0db89cf42a4e7ef590065623f8a68e054c0ded",
+    ),
+    "multirec-exhausted": (
+        ["multirec", "--weights", UNIT, "--ball", '{"center": "e0", "radius": "1/4"}',
+         "--m", "1", "--q-max", "30"],
+        1,
+        "7332d9b9c07c56b3956f7ef556672ee2e58b8492fc115f2f067f0d6ad662cb13",
+    ),
+    "pair-search-exhausted": (
+        ["pair-search", "--weights", UNIT, "--u", '{"center": "e0", "radius": "1/2"}',
+         "--v1", '{"center": "e1", "radius": "1/4"}', "--v2", '{"center": "e0", "radius": "1/4"}',
+         "--m", "1", "--a-max", "6", "--q-max", "6"],
+        1,
+        "85f0510cd2042bb42969d05cff48989c4afebf2bf3f4d61e9c9f1d0bce3088a8",
+    ),
+    "nested-exhausted": (
+        ["nested", "--weights", UNIT, "--ball", '{"center": "e0", "radius": "1/2"}',
+         "--stages", "1", "--q-max", "15"],
+        1,
+        "a01f2f509bd80daf57b31ae113ac03960c01e6a33bbe0f3af8ba8afa551e5a1c",
+    ),
+    "orbit-float": (
+        ["orbit", "--mode", "float", "--operator",
+         '{"kind": "backward", "weights": {"kind": "constant", "value": "3/2"}}',
+         "--scalars", "exp-sqrt", "--x", "[[0,1,1],[3,1,2],[7,-2,5]]", "--horizon", "8"],
+        0,
+        "ce59d11269dc12bfa91d28f228eb39617f74372ffa91d9a78bc929799f36c0ad",
+    ),
+    "puig-count-float": (
+        ["puig-count", "--mode", "float", "--scalars", "exp-sqrt", "--operator",
+         '{"kind": "backward"}', "--x", "[[0, 1, 1], [4, 1, 7], [8, 1, 17]]",
+         "--ball", '{"center": "e0", "radius": "1/2"}', "--length", "1", "--q", "4",
+         "--horizon", "12"],
+        0,
+        "908aeb5264906084f84efd51a41d234377fb4663bfd435a7901caa1ec42f8f40",
+    ),
+    "universal-float": (
+        ["universal", "--mode", "float", "--scalars", "exp-sqrt", "--y", "e0", "--m", "3",
+         "--k", "4", "--p", '"inf"'],
+        0,
+        "157d585e9845cf5ba43658511d2a3841e5e984c70320876266930b9e9b0b2b00",
+    ),
+    "schema-error": (
+        ["multirec", "--weights", CONST2, "--p", "3",
+         "--ball", '{"center": "e0", "radius": "1/4"}', "--m", "1"],
+        2,
+        "dcaefffbb8060f684306ba9e7df4fd4df09cd4f554bcb399fe2c771e8baff758",
+    ),
+}
+
+
+def report_digest(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_is_byte_for_byte(capsys, name):
+    argv, code, digest = CASES[name]
+    assert report_digest(capsys, argv) == (code, digest)

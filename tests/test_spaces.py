@@ -37,7 +37,6 @@ from aporbit.spaces import (
     norm_le,
     norm_lt,
     orbit,
-    weight_product,
 )
 
 L1 = SpaceSpec(1, UNILATERAL)
@@ -176,10 +175,10 @@ class TestBall:
 
 class TestWeights:
     def test_constant_product(self):
-        assert weight_product(ConstantWeights(Fraction(2)), 5) == Fraction(1, 32)
+        assert ConstantWeights(Fraction(2)).lift_factor(0, 5) == Fraction(1, 32)
 
     def test_unit_product_large_index(self):
-        assert weight_product(UnitWeights(), 10**4) == 1
+        assert UnitWeights().lift_factor(0, 10**4) == 1
 
     def test_explicit_range(self):
         w = ExplicitWeights((Fraction(2), Fraction(3)))
@@ -201,7 +200,7 @@ class TestWeights:
                 brute = Fraction(1)
                 for l in range(1, n + 1):
                     brute /= w.weight(l)
-                assert w.product_inverse(n) == brute
+                assert w.lift_factor(0, n) == brute
 
     def test_lift_factor_is_a_product_window(self):
         w = ConstantWeights(Fraction(2))
@@ -246,8 +245,8 @@ class TestValleyWeights:
         brute = Fraction(1)
         for n in range(1, 300):
             brute /= w.weight(n)
-            assert w.product_inverse(n) == brute
-            assert w.product_inverse(n) == w.basis_size(n)
+            assert w.lift_factor(0, n) == brute
+            assert w.lift_factor(0, n) == w.basis_size(n)
 
     @staticmethod
     def direct_profile(depth: int, n: int) -> int:

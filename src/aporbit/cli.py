@@ -670,21 +670,23 @@ def _add_common(sp):
 
 # (argparse dest, config key, conversion)
 _INT = "int"
-_RAW = "raw"  # keep the string as-is (rationals, vector shorthands, scalar names)
+_RAW = "raw"  # keep the string as-is (rationals)
 _JSON = "json"  # parse the string as a JSON value
-_VEC = "vec"  # JSON triples when it looks like JSON, else shorthand like "e0"
+_VEC = "vec"  # JSON triples when it starts with "[", else shorthand like "e0"
+_KIND = "kind"  # a JSON object when it starts with "{", else a kind name like "one"
+_JSON_OPENER = {_VEC: "[", _KIND: "{"}
 
 _OVERLAYS = {
     "analyze-set": [("window", "window", _INT), ("horizon", "horizon", _INT), ("set", "set", _JSON)],
     "orbit": [
         ("operator", "operator", _JSON),
-        ("scalars", "scalars", _RAW),
+        ("scalars", "scalars", _KIND),
         ("x", "x", _VEC),
         ("horizon", "horizon", _INT),
     ],
     "return-set": [
         ("operator", "operator", _JSON),
-        ("scalars", "scalars", _RAW),
+        ("scalars", "scalars", _KIND),
         ("x", "x", _VEC),
         ("ball", "ball", _JSON),
         ("horizon", "horizon", _INT),
@@ -706,7 +708,7 @@ _OVERLAYS = {
         ("q_max", "q_max", _INT),
     ],
     "universal": [
-        ("scalars", "scalars", _RAW),
+        ("scalars", "scalars", _KIND),
         ("y", "y", _VEC),
         ("m", "m", _INT),
         ("k", "k", _INT),
@@ -734,7 +736,7 @@ _OVERLAYS = {
         ("q_max", "q_max", _INT),
     ],
     "puig-count": [
-        ("scalars", "scalars", _RAW),
+        ("scalars", "scalars", _KIND),
         ("operator", "operator", _JSON),
         ("x", "x", _VEC),
         ("ball", "ball", _JSON),
@@ -804,11 +806,10 @@ def _merge_config(args, name):
         value = getattr(args, dest, None)
         if value is None:
             continue
-        if kind == _JSON or (
-            kind == _VEC and isinstance(value, str) and value.lstrip().startswith("[")
-        ):
+        opener = _JSON_OPENER.get(kind)
+        if kind == _JSON or (opener and value.lstrip().startswith(opener)):
             try:
-                value = json.loads(value) if isinstance(value, str) else value
+                value = json.loads(value)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"$.{key}", f"flag is not valid JSON: {exc}")
         config[key] = value

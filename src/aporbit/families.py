@@ -80,6 +80,11 @@ def verify_witness(witness: APWitness, hits: HitSet) -> bool:
     return all(t in hits for t in witness.terms())
 
 
+# Above this many positions per element the bitset's ANDs cost more than
+# walking the maximal progressions pair by pair (a cost model, not an option).
+_DENSE_SPAN_PER_ELEMENT = 32
+
+
 def longest_ap(hits: HitSet) -> APWitness | None:
     """Longest progression contained in the set.
 
@@ -92,26 +97,60 @@ def longest_ap(hits: HitSet) -> APWitness | None:
         return None
     if len(elems) == 1:
         return APWitness(elems[0], 1, 1)
-    # table[j] maps a step d to the length of the longest progression with
-    # step d ending at elems[j]
-    table: list[dict[int, int]] = [dict() for _ in elems]
-    best_len = 2
-    for j in range(1, len(elems)):
-        aj = elems[j]
-        row = table[j]
-        for i in range(j):
-            d = aj - elems[i]
-            length = table[i].get(d, 1) + 1
-            row[d] = length
-            if length > best_len:
-                best_len = length
-    candidates = []
-    for j, row in enumerate(table):
-        for d, length in row.items():
-            if length == best_len:
-                candidates.append((d, elems[j] - (best_len - 1) * d))
-    step, initial = min(candidates)
-    return APWitness(initial, step, best_len)
+    if elems[-1] - elems[0] > _DENSE_SPAN_PER_ELEMENT * len(elems):
+        length, step, initial = _longest_ap_sparse(elems, hits._members)
+    else:
+        length, step, initial = _longest_ap_dense(elems)
+    return APWitness(initial, step, length)
+
+
+def _longest_ap_dense(elems) -> tuple[int, int, int]:
+    """Bitset search over the set shifted by its minimum.
+
+    Bit a of `run` says that a, a + step, ..., a + (length - 1)·step are all
+    in the set.  Steps go up, and a step is kept only when it is strictly
+    longer, so the smallest step wins a tie; the lowest bit of the last
+    non-empty `run` is the smallest initial term for that step.
+    """
+    lo = elems[0]
+    span = elems[-1] - lo
+    bits = 0
+    for e in elems:
+        bits |= 1 << (e - lo)
+    best = (1, 1, lo)
+    step = 1
+    while best[0] * step <= span:
+        run, length = bits, 1
+        while longer := run & (bits >> (length * step)):
+            run, length = longer, length + 1
+        if length > best[0]:
+            best = (length, step, lo + (run & -run).bit_length() - 1)
+        step += 1
+    return best
+
+
+def _longest_ap_sparse(elems, members) -> tuple[int, int, int]:
+    """Walk each maximal progression once: O(n^2) time and O(n) memory.
+
+    A pair (a, b) starts a walk only when a - (b - a) is not in the set, so
+    every (element, step) pair is visited once (cf. J. Erickson, "Finding
+    longest arithmetic progressions", 1999).
+    """
+    last = elems[-1]
+    best = (1, 1, elems[0])
+    for i, a in enumerate(elems):
+        for b in elems[i + 1 :]:
+            step = b - a
+            if (best[0] - 1) * step > last - a:
+                break
+            if a - step in members:
+                continue
+            length, nxt = 2, b + step
+            while nxt in members:
+                length, nxt = length + 1, nxt + step
+            if length > best[0] or (length == best[0] and (step, a) < best[1:]):
+                best = (length, step, a)
+    return best
 
 
 def find_ap(hits: HitSet, length: int) -> APWitness | None:
@@ -224,10 +263,15 @@ def density_report(hits: HitSet, window: int) -> DensityEstimate:
     if window < 1 or window > h + 1:
         raise InvalidArgumentError("window must lie in [1, horizon+1]")
     elems = hits.elements
-    # prefix ratios over n in [ceil(h/2), h], compared by cross-multiplication
+    # prefix ratios over n in [ceil(h/2), h], compared by cross-multiplication.
+    # Between elements the count is constant and the ratio falls, so the
+    # maximum sits at ceil(h/2) or an element, the minimum at ceil(h/2),
+    # just before an element, or at h.
+    start = (h + 1) // 2
+    later = elems[bisect_right(elems, start) :]
     lo_num, lo_den = 1, 0  # +infinity
     hi_num, hi_den = -1, 1
-    for n in range((h + 1) // 2, h + 1):
+    for n in {start, h, *later, *(e - 1 for e in later)}:
         c = bisect_right(elems, n)
         if c * lo_den < lo_num * (n + 1):
             lo_num, lo_den = c, n + 1
@@ -249,19 +293,17 @@ def density_report(hits: HitSet, window: int) -> DensityEstimate:
     )
 
 
-def _completes_progression(x: int, chosen: set[int], k: int) -> bool:
-    for d in range(1, (x - 1) // (k - 1) + 1):
-        if all(x - j * d in chosen for j in range(1, k)):
-            return True
-    return False
-
-
 def szemeredi_r(n: int, k: int, budget: int = 25) -> int:
     """Largest size of a k-progression-free subset of {1..n}, exactly.
 
-    Branch and bound over elements in increasing order with a
-    best-known-size prune.  Exponential in the worst case, hence the
-    budget; the scan order is fixed, so the result is deterministic.
+    r(1), ..., r(n) are found in turn.  Since r(top) is r(top - 1) or one
+    more, each step asks whether {1..top} holds a free subset of the larger
+    size, by a bitmask branch and bound: element x joins unless a
+    progression closing at x is already chosen, and a branch is cut when
+    even r(top - x + 1) more elements (x..top is a translate of
+    1..top-x+1) cannot reach that size.  Exponential in the worst case,
+    hence the budget; the result is a number, so the search order cannot
+    change it.
     """
     if n < 1:
         raise InvalidArgumentError("n must be positive")
@@ -271,24 +313,32 @@ def szemeredi_r(n: int, k: int, budget: int = 25) -> int:
         raise BudgetExceededError(f"n={n} exceeds the search budget {budget}")
     if k > n:
         return n
-    best = 0
-    chosen: set[int] = set()
+    # closing[x]: the other k-1 terms of each progression whose largest term
+    # is x, as a mask with bit i-1 for element i
+    closing = [
+        [sum(1 << (x - j * d - 1) for j in range(1, k)) for d in range(1, (x - 1) // (k - 1) + 1)]
+        for x in range(n + 1)
+    ]
+    r = [0] * (n + 1)
 
-    def extend(x: int, size: int) -> None:
-        nonlocal best
-        if size + (n - x + 1) <= best:
-            return
-        if x > n:
-            best = size
-            return
-        if not _completes_progression(x, chosen, k):
-            chosen.add(x)
-            extend(x + 1, size + 1)
-            chosen.remove(x)
-        extend(x + 1, size)
+    def reaches(top: int, x: int, chosen: int, size: int) -> bool:
+        if size == r[top]:
+            return True
+        if size + r[top - x + 1] < r[top]:
+            return False
+        for m in closing[x]:
+            if chosen & m == m:
+                break
+        else:
+            if reaches(top, x + 1, chosen | 1 << (x - 1), size + 1):
+                return True
+        return reaches(top, x + 1, chosen, size)
 
-    extend(1, 0)
-    return best
+    for top in range(1, n + 1):
+        r[top] = r[top - 1] + 1  # an upper bound until the search fails
+        if not reaches(top, 1, 0, 0):
+            r[top] -= 1
+    return r[n]
 
 
 def _progression_masks(n: int, k: int) -> list[int]:

@@ -440,6 +440,33 @@ class TestConfig:
         assert report["config"]["n"] == 7
         assert report["r"] == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbit", "--operator", '{"kind": "backward"}', "--x", "e3", "--horizon", "2"],
+            ["return-set", "--operator", '{"kind": "backward"}', "--x", "e3",
+             "--ball", '{"center": "e0", "radius": "4"}', "--horizon", "3"],
+            ["universal", "--y", "e0", "--m", "1", "--k", "2"],
+            ["puig-count", "--operator", '{"kind": "backward"}', "--x", "e3",
+             "--ball", '{"center": "e0", "radius": "4"}', "--m", "1", "--q", "1",
+             "--horizon", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_scalars_flag_takes_the_json_form(self, capsys, tmp_path, argv):
+        scalars = {"kind": "explicit", "values": ["2/1", "3/1", "1/2", "5/1"]}
+        code, by_flag, _ = run_cli(capsys, argv + ["--scalars", json.dumps(scalars)])
+        assert code == 0
+        cfg_file = tmp_path / "scalars.json"
+        cfg_file.write_text(json.dumps({"scalars": scalars}))
+        code2, by_file, _ = run_cli(capsys, argv + ["--config", str(cfg_file)])
+        assert code2 == 0
+        assert by_flag == by_file
+        assert json.loads(by_flag)["config"]["scalars"] == scalars
+        # a kind name is still taken as it is
+        code3, report = run_json(capsys, argv + ["--scalars", "one"])
+        assert code3 == 0 and report["config"]["scalars"] == "one"
+
     def test_bounds_provenance(self, capsys):
         _, by_default = run_json(capsys, ["szemeredi", "--n", "5"])
         _, by_flag = run_json(capsys, ["szemeredi", "--n", "5", "--budget", "25"])

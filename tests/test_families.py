@@ -1,10 +1,15 @@
 """Tests for the AP / density layer: exact progressions, proxies, small Ramsey searches."""
 
+import json
 import random
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from aporbit import families
 from aporbit.errors import BudgetExceededError, InvalidArgumentError
 from aporbit.families import (
     APWitness,
@@ -27,12 +32,16 @@ from aporbit.families import (
 # independent oracle: cubic scan over all (initial, step) pairs
 
 
-def naive_longest_ap(elements: frozenset[int]) -> int:
-    """Length of the longest AP contained in `elements`, by brute force."""
+def naive_longest_ap(elements: frozenset[int]) -> tuple[int, int, int] | None:
+    """(length, step, initial) of the longest AP in `elements`, by brute force.
+
+    Ties go to the smallest step, then the smallest initial term; a
+    singleton has step 1, and the empty set gives None.
+    """
     if not elements:
-        return 0
-    best = 1
+        return None
     elems = sorted(elements)
+    best = (1, -1, -elems[0])  # maximised: longest, then smallest step and initial
     for a in elems:
         for b in elems:
             if b <= a:
@@ -43,8 +52,8 @@ def naive_longest_ap(elements: frozenset[int]) -> int:
             while nxt in elements:
                 length += 1
                 nxt += step
-            best = max(best, length)
-    return best
+            best = max(best, (length, -step, -a))
+    return best[0], -best[1], -best[2]
 
 
 def random_hitset(rng: random.Random, horizon: int) -> HitSet:
@@ -120,7 +129,7 @@ class TestLongestAP:
         for _ in range(120):
             s = random_hitset(rng, rng.randint(0, 150))
             w = longest_ap(s)
-            got = 0 if w is None else w.length
+            got = None if w is None else (w.length, w.step, w.initial)
             assert got == naive_longest_ap(frozenset(s))
 
     def test_monotone_under_inclusion(self):
@@ -133,6 +142,70 @@ class TestLongestAP:
             len_sub = 0 if longest_ap(sub) is None else longest_ap(sub).length
             len_big = 0 if longest_ap(big) is None else longest_ap(big).length
             assert len_sub <= len_big
+
+    @staticmethod
+    def spread_set(rng: random.Random, n: int, span: int) -> HitSet:
+        """n elements from 0 to span, both ends included."""
+        inner = rng.sample(range(1, span), n - 2)
+        return HitSet.from_iterable([0, span, *inner])
+
+    def test_both_paths_match_tie_break_oracle(self):
+        # both kernels on every set, whichever side of the switch it falls on
+        rng = random.Random(7101)
+        for _ in range(150):
+            n = rng.randint(2, 30)
+            s = self.spread_set(rng, n, rng.randint(n - 1, 80 * n))
+            expected = naive_longest_ap(frozenset(s))
+            assert families._longest_ap_dense(s.elements) == expected
+            assert families._longest_ap_sparse(s.elements, frozenset(s)) == expected
+
+    def test_matches_tie_break_oracle_at_the_switch(self):
+        rng = random.Random(7102)
+        per = families._DENSE_SPAN_PER_ELEMENT
+        for _ in range(60):
+            n = rng.randint(2, 25)
+            for span in (per * n - 1, per * n, per * n + 1):
+                s = self.spread_set(rng, n, span)
+                w = longest_ap(s)
+                assert (w.length, w.step, w.initial) == naive_longest_ap(frozenset(s))
+
+    def test_ties_between_maximal_progressions(self):
+        # step 4 from 20, step 3 from 41 and 61: the smallest step, then initial, wins
+        for scale in (1, 1000):  # dense, then sparse
+            elems = [scale * e for e in (20, 24, 28, 61, 64, 67, 41, 44, 47)]
+            w = longest_ap(HitSet.from_iterable(elems))
+            assert (w.length, w.step, w.initial) == (3, 3 * scale, 41 * scale)
+        rng = random.Random(7103)
+        for _ in range(60):
+            length = rng.randint(2, 5)
+            step = rng.randint(1, 6)
+            starts = rng.sample(range(0, 40 * step), rng.randint(2, 4))
+            elems = {a + j * step for a in starts for j in range(length)}
+            elems |= {a + j * (step + 1) for a in rng.sample(range(300), 2) for j in range(length)}
+            s = HitSet.from_iterable(elems)
+            w = longest_ap(s)
+            assert (w.length, w.step, w.initial) == naive_longest_ap(frozenset(s))
+
+    def test_memory_stays_small_on_large_sets(self):
+        # the pair table this replaced peaked near 320 MB at 3000 elements.  The
+        # sparse set carries a planted 60-term progression, as the benchmark's
+        # planted sets do: it cuts the walk short, which tracing makes slow,
+        # and leaves the memory the walk needs unchanged.
+        rng = random.Random(7104)
+        n = 3000
+        per = families._DENSE_SPAN_PER_ELEMENT
+        for span, planted in ((4 * n, 0), ((per + 1) * n, 60)):  # dense, then sparse
+            elems = set(rng.sample(range(span), n - planted)) | {97 * j for j in range(planted)}
+            s = HitSet.from_iterable(elems)
+            assert (s.elements[-1] - s.elements[0] > per * len(s)) == (planted > 0)
+            tracemalloc.start()
+            try:
+                w = longest_ap(s)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert verify_witness(w, s)
+            assert peak < 5 * 2**20
 
 
 class TestFindAP:
@@ -262,7 +335,34 @@ class TestCountAndBar:
 # density proxies
 
 
+def scan_prefix_ratios(hits: HitSet) -> tuple[Fraction, Fraction]:
+    """(lower, upper) prefix-ratio proxies, by trying every n in [ceil(h/2), h]."""
+    h = hits.horizon
+    ratios = [
+        Fraction(bisect_right(hits.elements, n), n + 1) for n in range((h + 1) // 2, h + 1)
+    ]
+    return min(ratios), max(ratios)
+
+
 class TestDensity:
+    def test_prefix_ratios_match_full_scan(self):
+        rng = random.Random(3303)
+        for trial in range(300):
+            horizon = rng.randint(0, 120) * 2 + trial % 2  # odd and even horizons
+            if trial % 10 == 0:
+                s = HitSet.from_iterable([], horizon=horizon)
+            else:
+                k = rng.randint(1, min(horizon + 1, rng.choice((3, 20, 200))))
+                s = HitSet.from_iterable(rng.sample(range(horizon + 1), k), horizon=horizon)
+            rep = density_report(s, window=rng.randint(1, horizon + 1))
+            assert (rep.lower_proxy, rep.upper_proxy) == scan_prefix_ratios(s)
+
+    def test_long_horizon_is_cheap(self):
+        # a scan of every n up to the horizon would not finish
+        rep = density_report(HitSet.from_iterable([0, 10**12]), window=1)
+        assert rep.lower_proxy == Fraction(1, 10**12)
+        assert rep.upper_proxy == Fraction(2, 10**12 + 1)
+
     def test_even_numbers_near_half(self):
         evens = HitSet.from_iterable(range(0, 101, 2))
         rep = density_report(evens, window=10)
@@ -350,6 +450,13 @@ class TestSzemerediR:
     def test_k4_matches_naive(self):
         for n in range(1, 9):
             assert szemeredi_r(n, 4) == szemeredi_r_naive(n, 4)
+
+    def test_matches_reference_table(self):
+        # perfbench/reference.json was computed by a different exhaustive search
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        table = json.loads(path.read_text())["r_k"]
+        for k in (3, 4):
+            assert [szemeredi_r(n, k) for n in range(1, 26)] == table[str(k)]
 
     def test_monotone_in_n(self):
         values = [szemeredi_r(n, 3) for n in range(1, 13)]

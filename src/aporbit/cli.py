@@ -1,10 +1,11 @@
 """Command-line front end: config in, JSON/CSV report out.
 
-Exit-code discipline: 0 only for a verified value or witness, 1 for an
-exhausted (inconclusive) search, 2 for invalid input, which includes a
-float past the range of a double.  Reports echo the effective config
-verbatim so that re-running with `--config` on that echo reproduces the
-report byte-for-byte in exact mode.
+Exit-code discipline (`_settled`, `_exhausted`, `_report_error`): 0 only
+for a verified value or witness, 1 for an exhausted (inconclusive) search
+or a result that failed re-verification, 2 for invalid input, which
+includes a float past the range of a double.  Reports echo the effective
+config verbatim so that re-running with `--config` on that echo
+reproduces the report byte-for-byte in exact mode.
 
 One convention boundary lives here and only here: the core recurrence
 operations count a pattern by its extra returns m (a witness visits the
@@ -15,9 +16,9 @@ either `m` or `length` (= m + 1); both are translated at parse time.
 import argparse
 import copy
 import csv
-import io
 import itertools
 import json
+import math
 import sys
 
 from .errors import (
@@ -153,8 +154,14 @@ def _fr(value, mode):
     return float(value) if mode == "float" else format_fraction(value)
 
 
-def _exhausted(bounds, header, **fields):
-    """The report of a search that ran out of bounds: exit 1, no rows, inconclusive."""
+def _settled(csv_header, csv_rows, verdict="value", verified=True, **fields):
+    """The report of a settled result: exit 0 only when it is verified, else 1."""
+    payload = {"verdict": verdict, "verified": verified, "conclusive": True, **fields}
+    return RunResult(payload, OK if verified else EXHAUSTED, csv_header, csv_rows)
+
+
+def _exhausted(bounds, header, rows=(), **fields):
+    """The report of a search that ran out of bounds: exit 1, inconclusive."""
     payload = {
         "verdict": "exhausted",
         "verified": False,
@@ -163,7 +170,19 @@ def _exhausted(bounds, header, **fields):
         **fields,
         "note": _INCONCLUSIVE_NOTE,
     }
-    return RunResult(payload, EXHAUSTED, header, [])
+    return RunResult(payload, EXHAUSTED, header, rows)
+
+
+def _k(config):
+    """The progression length k of the set-side runners; 3 when absent."""
+    return _expect_int(config, "k", minimum=2) if "k" in config else 3
+
+
+def _scalars(config, path="$"):
+    """The config's scalar sequence; all ones (the plain iterates) when absent."""
+    if "scalars" not in config:
+        return OneScalars()
+    return parse_scalars(config["scalars"], f"{path}.scalars")
 
 
 # ---------------------------------------------------------------------------
@@ -182,42 +201,36 @@ def run_analyze_set(config, mode):
         raise SchemaError("$.window", "window exceeds horizon+1")
     witness = longest_ap(hits)
     dens = density_report(hits, window)
-    payload = {
-        "verdict": "value",
-        "verified": True,
-        "conclusive": True,
-        "size": len(hits),
-        "horizon": hits.horizon,
-        "bounds": bounds,
-        "longest_ap": None
+    row = (
+        ("", "", "")
+        if witness is None
+        else (witness.initial, witness.step, witness.length)
+    )
+    return _settled(
+        ("initial", "step", "length"),
+        [row],
+        size=len(hits),
+        horizon=hits.horizon,
+        bounds=bounds,
+        longest_ap=None
         if witness is None
         else {
             "initial": witness.initial,
             "step": witness.step,
             "length": witness.length,
         },
-        "density": {
+        density={
             "lower_proxy": format_fraction(dens.lower_proxy),
             "upper_proxy": format_fraction(dens.upper_proxy),
             "banach_upper_proxy": format_fraction(dens.banach_upper_proxy),
             "window": dens.window,
         },
-    }
-    row = (
-        ("", "", "")
-        if witness is None
-        else (witness.initial, witness.step, witness.length)
     )
-    return RunResult(payload, OK, ("initial", "step", "length"), [row])
 
 
 def _orbit_sequence(config, path="$"):
     op = parse_operator(config.get("operator"), f"{path}.operator")
-    scalars = (
-        parse_scalars(config["scalars"], f"{path}.scalars")
-        if "scalars" in config
-        else OneScalars()
-    )
+    scalars = _scalars(config, path)
     if isinstance(scalars, OneScalars):
         return op, Iterates(op)
     return op, ScaledIterates(scalars, op)
@@ -245,14 +258,9 @@ def run_orbit(config, mode):
             }
         )
         csv_rows.append((n, _fr(l1, mode), _fr(l2sq, mode), _fr(sup, mode)))
-    payload = {
-        "verdict": "value",
-        "verified": True,
-        "conclusive": True,
-        "bounds": bounds,
-        "points": rows,
-    }
-    return RunResult(payload, OK, ("n", "l1", "l2_squared", "sup"), csv_rows)
+    return _settled(
+        ("n", "l1", "l2_squared", "sup"), csv_rows, bounds=bounds, points=rows
+    )
 
 
 def run_return_set(config, mode):
@@ -263,16 +271,14 @@ def run_return_set(config, mode):
     bounds = {}
     horizon = _bound(config, "horizon", 50, bounds, minimum=0)
     hits = return_set(seq, x, ball, horizon, mode)
-    payload = {
-        "verdict": "value",
-        "verified": True,
-        "conclusive": True,
-        "bounds": bounds,
-        "hits": list(hits.elements),
-        "count": len(hits),
-        "horizon": hits.horizon,
-    }
-    return RunResult(payload, OK, ("n",), [(n,) for n in hits.elements])
+    return _settled(
+        ("n",),
+        [(n,) for n in hits.elements],
+        bounds=bounds,
+        hits=list(hits.elements),
+        count=len(hits),
+        horizon=hits.horizon,
+    )
 
 
 def run_shift_check(config, mode):
@@ -293,21 +299,12 @@ def run_shift_check(config, mode):
         for p in range(p_max + 1)
         for m in range(1, m_max + 1)
     ]
-    full = report.fully_populated
-    payload = {
-        "verdict": "witness" if full else "exhausted",
-        "verified": full,
-        "conclusive": full,
-        "bounds": bounds,
-        "epsilon": format_fraction(report.epsilon),
-        "grid": cells,
-    }
-    if not full:
-        payload["note"] = _INCONCLUSIVE_NOTE
-    csv_rows = [(c["p"], c["m"], "" if c["q"] is None else c["q"]) for c in cells]
-    return RunResult(
-        payload, OK if full else EXHAUSTED, ("p", "m", "q"), csv_rows
-    )
+    header = ("p", "m", "q")
+    rows = [(c["p"], c["m"], "" if c["q"] is None else c["q"]) for c in cells]
+    fields = {"epsilon": format_fraction(report.epsilon), "grid": cells}
+    if not report.fully_populated:
+        return _exhausted(bounds, header, rows, **fields)
+    return _settled(header, rows, "witness", bounds=bounds, **fields)
 
 
 def run_multirec(config, mode):
@@ -320,23 +317,21 @@ def run_multirec(config, mode):
     witness = multirec_witness(weights, space, ball, m, q_max, mode)
     if witness is None:
         return _exhausted(bounds, ("j", "time", "distance"), m=m)
-    payload = {
-        "verdict": "witness",
-        "verified": witness.verified,
-        "conclusive": True,
-        "bounds": bounds,
-        "witness": {
+    distances = [_fr(d, mode) for d in witness.distances]
+    return _settled(
+        ("j", "time", "distance"),
+        [(j, j * witness.q, d) for j, d in enumerate(distances)],
+        "witness",
+        witness.verified,
+        bounds=bounds,
+        witness={
             "q": witness.q,
             "m": witness.m,
             "x": vector_to_json(witness.x),
             "memberships": list(witness.verified_memberships),
-            "distances": [_fr(d, mode) for d in witness.distances],
+            "distances": distances,
         },
-    }
-    csv_rows = [
-        (j, j * witness.q, _fr(d, mode)) for j, d in enumerate(witness.distances)
-    ]
-    return RunResult(payload, OK, ("j", "time", "distance"), csv_rows)
+    )
 
 
 def run_universal(config, mode):
@@ -348,21 +343,15 @@ def run_universal(config, mode):
     k = _expect_int(config, "k", minimum=1)
     space = _parse_space(config)
     ytilde = universal_vector(scalars, y, m, k, mode)
-    error = verify_universal(scalars, y, m, k, space, mode)
-    payload = {
-        "verdict": "witness",
-        "verified": True,
-        "conclusive": True,
-        "m": m,
-        "k": k,
-        "ytilde": vector_to_json(ytilde),
-        "error": _fr(error, mode) if mode == "exact" else error,
-    }
-    return RunResult(
-        payload,
-        OK,
+    error = _fr(verify_universal(scalars, y, m, k, space, mode), mode)
+    return _settled(
         ("m", "k", "error"),
-        [(m, k, payload["error"])],
+        [(m, k, error)],
+        "witness",
+        m=m,
+        k=k,
+        ytilde=vector_to_json(ytilde),
+        error=error,
     )
 
 
@@ -382,22 +371,6 @@ def run_gowers(config, mode):
     else:
         raise SchemaError("$", "missing l (or l_min/l_max)")
     rows = gowers_table(ls)
-    payload = {
-        "verdict": "value",
-        "verified": True,
-        "conclusive": True,
-        "rows": [
-            {
-                "l": r.l,
-                "m_l": r.m_l,
-                "f_at_m_l": r.f_at_m_l,
-                "bound_r3": r.bound_r3,
-                "k_of_n": r.k_of_n,
-                "vacuous_flag": r.vacuous,
-            }
-            for r in rows
-        ],
-    }
     csv_rows = [
         (
             r.l,
@@ -410,59 +383,48 @@ def run_gowers(config, mode):
         for r in rows
     ]
     header = ("l", "m_l", "f_at_m_l", "bound_r3", "k_of_n", "vacuous_flag")
-    return RunResult(payload, OK, header, csv_rows)
+    return _settled(
+        header,
+        csv_rows,
+        rows=[
+            {
+                "l": r.l,
+                "m_l": r.m_l,
+                "f_at_m_l": r.f_at_m_l,
+                "bound_r3": r.bound_r3,
+                "k_of_n": r.k_of_n,
+                "vacuous_flag": r.vacuous,
+            }
+            for r in rows
+        ],
+    )
 
 
 def run_szemeredi(config, mode):
     n = _expect_int(config, "n", minimum=1)
-    k = (
-        _expect_int(config, "k", minimum=2)
-        if "k" in config
-        else 3
-    )
+    k = _k(config)
     bounds = {}
     budget = _bound(config, "budget", 25, bounds)
     r = szemeredi_r(n, k, budget)
-    payload = {
-        "verdict": "value",
-        "verified": True,
-        "conclusive": True,
-        "bounds": bounds,
-        "n": n,
-        "k": k,
-        "r": r,
-    }
-    return RunResult(payload, OK, ("n", "k", "r"), [(n, k, r)])
+    return _settled(("n", "k", "r"), [(n, k, r)], bounds=bounds, n=n, k=k, r=r)
 
 
 def run_vdw(config, mode):
     n = _expect_int(config, "n", minimum=1)
-    k = (
-        _expect_int(config, "k", minimum=2)
-        if "k" in config
-        else 3
-    )
+    k = _k(config)
     bounds = {}
     budget = _bound(config, "budget", 12, bounds)
     result = vdw_check(n, k, budget)
-    verified = True
-    if result.coloring is not None:
-        verified = coloring_avoids_progressions(result.coloring, k)
-    payload = {
-        "verdict": "value",
-        "verified": verified,
-        "conclusive": True,
-        "bounds": bounds,
-        "n": n,
-        "k": k,
-        "forced": result.forced,
-        "coloring": result.coloring,
-    }
-    return RunResult(
-        payload,
-        OK if verified else EXHAUSTED,
+    return _settled(
         ("n", "k", "forced", "coloring"),
         [(n, k, result.forced, result.coloring or "")],
+        verified=result.coloring is None
+        or coloring_avoids_progressions(result.coloring, k),
+        bounds=bounds,
+        n=n,
+        k=k,
+        forced=result.forced,
+        coloring=result.coloring,
     )
 
 
@@ -481,21 +443,18 @@ def run_pair_search(config, mode):
     )
     if witness is None:
         return _exhausted(bounds, ("a", "q", "m"), m=m)
-    payload = {
-        "verdict": "witness",
-        "verified": True,
-        "conclusive": True,
-        "bounds": bounds,
-        "witness": {
+    return _settled(
+        ("a", "q", "m"),
+        [(witness.a, witness.q, witness.m)],
+        "witness",
+        bounds=bounds,
+        witness={
             "a": witness.a,
             "q": witness.q,
             "m": witness.m,
             "x1": vector_to_json(witness.x1),
             "x2": vector_to_json(witness.x2),
         },
-    }
-    return RunResult(
-        payload, OK, ("a", "q", "m"), [(witness.a, witness.q, witness.m)]
     )
 
 
@@ -525,27 +484,22 @@ def run_nested(config, mode):
             stages=[stage_json(st, i) for i, st in enumerate(exc.completed)],
         )
     stage_list = [stage_json(st, i) for i, st in enumerate(refinement.stages)]
-    payload = {
-        "verdict": "witness",
-        "verified": True,
-        "conclusive": True,
-        "bounds": bounds,
-        "stages": stage_list,
-        "point": vector_to_json(refinement.point),
-    }
     csv_rows = [
         (s["stage"], "" if s["q"] is None else s["q"], s["radius"])
         for s in stage_list
     ]
-    return RunResult(payload, OK, ("stage", "q", "radius"), csv_rows)
+    return _settled(
+        ("stage", "q", "radius"),
+        csv_rows,
+        "witness",
+        bounds=bounds,
+        stages=stage_list,
+        point=vector_to_json(refinement.point),
+    )
 
 
 def run_puig_count(config, mode):
-    scalars = (
-        parse_scalars(config["scalars"], "$.scalars")
-        if "scalars" in config
-        else OneScalars()
-    )
+    scalars = _scalars(config)
     op = parse_operator(config.get("operator"), "$.operator")
     x = parse_vector(config.get("x"), "$.x")
     space = operator_space(op)
@@ -555,17 +509,13 @@ def run_puig_count(config, mode):
     bounds = {}
     horizon = _bound(config, "horizon", 50, bounds, minimum=0)
     count = joint_return_count(scalars, op, x, ball, m, q, horizon, mode)
-    payload = {
-        "verdict": "value",
-        "verified": True,
-        "conclusive": True,
-        "bounds": bounds,
-        "m": m,
-        "q": q,
-        "count": count,
-    }
-    return RunResult(
-        payload, OK, ("m", "q", "horizon", "count"), [(m, q, horizon, count)]
+    return _settled(
+        ("m", "q", "horizon", "count"),
+        [(m, q, horizon, count)],
+        bounds=bounds,
+        m=m,
+        q=q,
+        count=count,
     )
 
 
@@ -616,16 +566,12 @@ def run_sweep(inner_name, base_config, grid, limit_cfg, mode):
     bounds = {}
     limit = _bound(limit_cfg, "limit", 256, bounds)
     keys = sorted(grid)
-    combos = []
-    if keys:
-        total = 1
-        for key in keys:
-            total *= len(grid[key])
-        if total > limit:
-            raise SchemaError(
-                "$.grid", f"grid has {total} points, exceeding the limit {limit}"
-            )
-        combos = list(itertools.product(*(grid[key] for key in keys)))
+    total = math.prod(len(grid[key]) for key in keys)
+    if total > limit:
+        raise SchemaError(
+            "$.grid", f"grid has {total} points, exceeding the limit {limit}"
+        )
+    combos = itertools.product(*(grid[key] for key in keys)) if keys else ()
     runs = []
     csv_rows = []
     inner_header = None
@@ -648,14 +594,14 @@ def run_sweep(inner_name, base_config, grid, limit_cfg, mode):
     payload = {
         "verdict": "value",
         "verified": True,
-        "conclusive": all(r.get("conclusive", False) for r in runs) if runs else True,
+        "conclusive": all(r["conclusive"] for r in runs),
         "bounds": bounds,
         "inner": inner_name,
         "grid": grid,
         "runs": runs,
     }
     header = tuple(keys) + (inner_header or ())
-    return RunResult(payload, exit_code if runs else OK, header, csv_rows)
+    return RunResult(payload, exit_code, header, csv_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +614,7 @@ def _add_common(sp):
     sp.add_argument("--output", choices=("json", "csv"), default="json")
 
 
-# (argparse dest, config key, conversion)
+# (config key, conversion); the flag is the key with "-" for "_"
 _INT = "int"
 _RAW = "raw"  # keep the string as-is (rationals)
 _JSON = "json"  # parse the string as a JSON value
@@ -677,73 +623,62 @@ _KIND = "kind"  # a JSON object when it starts with "{", else a kind name like "
 _JSON_OPENER = {_VEC: "[", _KIND: "{"}
 
 _OVERLAYS = {
-    "analyze-set": [("window", "window", _INT), ("horizon", "horizon", _INT), ("set", "set", _JSON)],
-    "orbit": [
-        ("operator", "operator", _JSON),
-        ("scalars", "scalars", _KIND),
-        ("x", "x", _VEC),
-        ("horizon", "horizon", _INT),
-    ],
+    "analyze-set": [("window", _INT), ("horizon", _INT), ("set", _JSON)],
+    "orbit": [("operator", _JSON), ("scalars", _KIND), ("x", _VEC), ("horizon", _INT)],
     "return-set": [
-        ("operator", "operator", _JSON),
-        ("scalars", "scalars", _KIND),
-        ("x", "x", _VEC),
-        ("ball", "ball", _JSON),
-        ("horizon", "horizon", _INT),
+        ("operator", _JSON),
+        ("scalars", _KIND),
+        ("x", _VEC),
+        ("ball", _JSON),
+        ("horizon", _INT),
     ],
     "shift-check": [
-        ("weights", "weights", _JSON),
-        ("p", "p", _JSON),
-        ("epsilon", "epsilon", _RAW),
-        ("p_max", "p_max", _INT),
-        ("m_max", "m_max", _INT),
-        ("q_max", "q_max", _INT),
+        ("weights", _JSON),
+        ("p", _JSON),
+        ("epsilon", _RAW),
+        ("p_max", _INT),
+        ("m_max", _INT),
+        ("q_max", _INT),
     ],
     "multirec": [
-        ("weights", "weights", _JSON),
-        ("p", "p", _JSON),
-        ("ball", "ball", _JSON),
-        ("m", "m", _INT),
-        ("length", "length", _INT),
-        ("q_max", "q_max", _INT),
+        ("weights", _JSON),
+        ("p", _JSON),
+        ("ball", _JSON),
+        ("m", _INT),
+        ("length", _INT),
+        ("q_max", _INT),
     ],
-    "universal": [
-        ("scalars", "scalars", _KIND),
-        ("y", "y", _VEC),
-        ("m", "m", _INT),
-        ("k", "k", _INT),
-        ("p", "p", _JSON),
-    ],
-    "gowers": [("l", "l", _INT), ("l_min", "l_min", _INT), ("l_max", "l_max", _INT)],
-    "szemeredi": [("n", "n", _INT), ("k", "k", _INT), ("budget", "budget", _INT)],
-    "vdw": [("n", "n", _INT), ("k", "k", _INT), ("budget", "budget", _INT)],
+    "universal": [("scalars", _KIND), ("y", _VEC), ("m", _INT), ("k", _INT), ("p", _JSON)],
+    "gowers": [("l", _INT), ("l_min", _INT), ("l_max", _INT)],
+    "szemeredi": [("n", _INT), ("k", _INT), ("budget", _INT)],
+    "vdw": [("n", _INT), ("k", _INT), ("budget", _INT)],
     "pair-search": [
-        ("weights", "weights", _JSON),
-        ("p", "p", _JSON),
-        ("u", "u", _JSON),
-        ("v1", "v1", _JSON),
-        ("v2", "v2", _JSON),
-        ("m", "m", _INT),
-        ("length", "length", _INT),
-        ("a_max", "a_max", _INT),
-        ("q_max", "q_max", _INT),
+        ("weights", _JSON),
+        ("p", _JSON),
+        ("u", _JSON),
+        ("v1", _JSON),
+        ("v2", _JSON),
+        ("m", _INT),
+        ("length", _INT),
+        ("a_max", _INT),
+        ("q_max", _INT),
     ],
     "nested": [
-        ("weights", "weights", _JSON),
-        ("p", "p", _JSON),
-        ("ball", "ball", _JSON),
-        ("stages", "stages", _INT),
-        ("q_max", "q_max", _INT),
+        ("weights", _JSON),
+        ("p", _JSON),
+        ("ball", _JSON),
+        ("stages", _INT),
+        ("q_max", _INT),
     ],
     "puig-count": [
-        ("scalars", "scalars", _KIND),
-        ("operator", "operator", _JSON),
-        ("x", "x", _VEC),
-        ("ball", "ball", _JSON),
-        ("m", "m", _INT),
-        ("length", "length", _INT),
-        ("q", "q", _INT),
-        ("horizon", "horizon", _INT),
+        ("scalars", _KIND),
+        ("operator", _JSON),
+        ("x", _VEC),
+        ("ball", _JSON),
+        ("m", _INT),
+        ("length", _INT),
+        ("q", _INT),
+        ("horizon", _INT),
     ],
 }
 
@@ -775,12 +710,9 @@ def _new_parser() -> argparse.ArgumentParser:
     for name, overlays in _OVERLAYS.items():
         sp = sub.add_parser(name)
         _add_common(sp)
-        for dest, _key, kind in overlays:
-            flag = "--" + dest.replace("_", "-")
-            if kind == _INT:
-                sp.add_argument(flag, dest=dest, type=int)
-            else:
-                sp.add_argument(flag, dest=dest)
+        for key, kind in overlays:
+            flag = "--" + key.replace("_", "-")
+            sp.add_argument(flag, type=int if kind == _INT else None)
     sweep = sub.add_parser("sweep")
     _add_common(sweep)
     sweep.add_argument("--command", required=True, help="subcommand to sweep")
@@ -789,21 +721,26 @@ def _new_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(path):
+    """The JSON object in the config file at path; {} when there is none."""
+    if not path:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise SchemaError("$", f"cannot read config file: {exc}")
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"config file is not valid JSON: {exc}")
+    if not isinstance(loaded, dict):
+        raise SchemaError("$", "config file must hold a JSON object")
+    return loaded
+
+
 def _merge_config(args, name):
-    config = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise SchemaError("$", f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise SchemaError("$", "config file must hold a JSON object")
-        config = loaded
-    for dest, key, kind in _OVERLAYS.get(name, ()):
-        value = getattr(args, dest, None)
+    config = _load_config(args.config)
+    for key, kind in _OVERLAYS[name]:
+        value = getattr(args, key)
         if value is None:
             continue
         opener = _JSON_OPENER.get(kind)
@@ -839,12 +776,35 @@ def _emit(report, output, header, rows, out):
         out.write(json.dumps(report, indent=2, sort_keys=True))
         out.write("\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-        out.write(buf.getvalue())
+        writer.writerows(rows)
+
+
+def _report_error(exc, name, mode, out):
+    """Write the report of a run that stopped on an exception; return its exit code.
+
+    A failed growth-profile check is inconclusive (exit 1); any other
+    error is invalid input (exit 2) and is repeated on stderr.
+    """
+    message = str(exc)
+    if isinstance(exc, OverflowError):
+        message = f"a number left the range of a double (about 1.8e308): {exc}"
+    report = {
+        "command": name,
+        "mode": mode,
+        "verdict": "error",
+        "verified": False,
+        "error": message,
+    }
+    inconclusive = isinstance(exc, MonotonicityError)
+    if inconclusive:
+        report.update(verdict="inconclusive", conclusive=False)
+    _emit(report, "json", None, None, out)
+    if inconclusive:
+        return EXHAUSTED
+    print(f"error: {message}", file=sys.stderr)
+    return INVALID
 
 
 def main(argv=None) -> int:
@@ -861,29 +821,15 @@ def main(argv=None) -> int:
                 grid = json.loads(args.grid)
             except json.JSONDecodeError as exc:
                 raise SchemaError("$.grid", f"not valid JSON: {exc}")
-            base = {}
-            if args.config:
-                fake = argparse.Namespace(config=args.config)
-                base = _merge_config(fake, args.command)
+            base = _load_config(args.config)
             limit_cfg = {} if args.limit is None else {"limit": args.limit}
             result = run_sweep(args.command, base, grid, limit_cfg, args.mode)
-            report = {
-                "command": "sweep",
-                "mode": args.mode,
-                "config": {"command": args.command, "base": base, "grid": grid},
-                **result.payload,
-            }
+            config = {"command": args.command, "base": base, "grid": grid}
         else:
             config = _merge_config(args, name)
             if name == "analyze-set" and "set" not in config:
                 config["set"] = _read_stdin_set()
             result = RUNNERS[name](config, args.mode)
-            report = {
-                "command": name,
-                "mode": args.mode,
-                "config": config,
-                **result.payload,
-            }
     except (
         SchemaError,
         InvalidArgumentError,
@@ -892,33 +838,10 @@ def main(argv=None) -> int:
         DomainError,
         BudgetExceededError,
         OverflowError,
+        MonotonicityError,
     ) as exc:
-        message = str(exc)
-        if isinstance(exc, OverflowError):
-            message = f"a number left the range of a double (about 1.8e308): {exc}"
-        error_report = {
-            "command": name,
-            "mode": getattr(args, "mode", "exact"),
-            "verdict": "error",
-            "verified": False,
-            "error": message,
-        }
-        out.write(json.dumps(error_report, indent=2, sort_keys=True))
-        out.write("\n")
-        print(f"error: {message}", file=sys.stderr)
-        return INVALID
-    except MonotonicityError as exc:
-        error_report = {
-            "command": name,
-            "mode": getattr(args, "mode", "exact"),
-            "verdict": "inconclusive",
-            "verified": False,
-            "conclusive": False,
-            "error": str(exc),
-        }
-        out.write(json.dumps(error_report, indent=2, sort_keys=True))
-        out.write("\n")
-        return EXHAUSTED
+        return _report_error(exc, name, args.mode, out)
+    report = {"command": name, "mode": args.mode, "config": config, **result.payload}
     _emit(report, args.output, result.csv_header, result.csv_rows, out)
     return result.exit_code
 

@@ -119,7 +119,6 @@ class CriterionReport:
     grid: dict
     epsilon: Fraction
     bounds: tuple[int, int, int]
-    offset_zero_included: bool = True
 
     @property
     def fully_populated(self) -> bool:

@@ -1,10 +1,12 @@
-"""JSON wire formats: tagged objects in, tagged objects out.
+"""JSON wire formats: tagged objects in, rationals and vectors out.
 
 Rationals travel as "num/den" strings (plain integers are accepted on
 input), never as floats — a float in a config is always a schema error.
 Vectors are lists of [index, numerator, denominator] triples, with the
 "e<N>" shorthand accepted anywhere a vector is expected.  Every parser
 threads a JSON-path string so schema errors point at the exact field.
+Reports echo their configs verbatim, so `format_fraction` and
+`vector_to_json` are the only emitters.
 """
 
 import re
@@ -125,18 +127,6 @@ def parse_vector(obj, path: str = "$") -> FiniteVector:
 # Weights
 
 
-def weights_to_json(w: WeightSpec) -> dict:
-    if isinstance(w, ConstantWeights):
-        return {"kind": "constant", "value": format_fraction(w.value)}
-    if isinstance(w, UnitWeights):
-        return {"kind": "unit"}
-    if isinstance(w, ExplicitWeights):
-        return {"kind": "explicit", "values": [format_fraction(v) for v in w.values]}
-    if isinstance(w, ValleyWeights):
-        return {"kind": "valley", "depth": w.depth}
-    raise SchemaError("$", f"unknown weight family {type(w).__name__}")
-
-
 def parse_weights(obj, path: str = "$") -> WeightSpec:
     kind = _kind_of(obj, path, {"constant", "unit", "explicit", "valley"})
     if kind == "constant":
@@ -162,10 +152,6 @@ def parse_weights(obj, path: str = "$") -> WeightSpec:
 # Spaces and balls
 
 
-def p_to_json(p):
-    return "inf" if p == INF else p
-
-
 def parse_p(obj, path: str):
     if obj == "inf":
         return INF
@@ -180,18 +166,6 @@ def parse_laterality(obj, path: str) -> str:
             path, f"laterality must be \"unilateral\" or \"bilateral\", got {obj!r}"
         )
     return obj
-
-
-def space_to_json(space: SpaceSpec) -> dict:
-    return {"p": p_to_json(space.p), "laterality": space.laterality}
-
-
-def ball_to_json(ball: Ball) -> dict:
-    return {
-        "center": vector_to_json(ball.center),
-        "radius": format_fraction(ball.radius),
-        "p": p_to_json(ball.space.p),
-    }
 
 
 def parse_ball(obj, laterality: str, path: str = "$") -> Ball:
@@ -211,38 +185,6 @@ def parse_ball(obj, laterality: str, path: str = "$") -> Ball:
 
 # ---------------------------------------------------------------------------
 # Operators
-
-
-def operator_to_json(op: Operator) -> dict:
-    if isinstance(op, BackwardShift):
-        return {
-            "kind": "backward",
-            "weights": weights_to_json(op.weights),
-            "p": p_to_json(op.space.p),
-            "laterality": op.space.laterality,
-        }
-    if isinstance(op, ForwardShift):
-        return {
-            "kind": "forward",
-            "weights": weights_to_json(op.weights),
-            "p": p_to_json(op.space.p),
-            "laterality": op.space.laterality,
-        }
-    if isinstance(op, Scaled):
-        return {
-            "kind": "scaled",
-            "scalar": format_fraction(op.scalar),
-            "inner": operator_to_json(op.inner),
-        }
-    if isinstance(op, Power):
-        return {
-            "kind": "power",
-            "exponent": op.exponent,
-            "inner": operator_to_json(op.inner),
-        }
-    if isinstance(op, DirectSum):
-        return {"kind": "direct-sum", "parts": [operator_to_json(p) for p in op.parts]}
-    raise SchemaError("$", f"unknown operator {type(op).__name__}")
 
 
 def parse_operator(obj, path: str = "$") -> Operator:
@@ -279,18 +221,6 @@ def parse_operator(obj, path: str = "$") -> Operator:
 # Scalar sequences
 
 
-def scalars_to_json(scalars: ScalarSeq) -> dict:
-    if isinstance(scalars, OneScalars):
-        return {"kind": "one"}
-    if isinstance(scalars, DyadicSqrtScalars):
-        return {"kind": "dyadic-sqrt"}
-    if isinstance(scalars, ExpSqrtScalars):
-        return {"kind": "exp-sqrt"}
-    if isinstance(scalars, ExplicitScalars):
-        return {"kind": "explicit", "values": [format_fraction(v) for v in scalars.values]}
-    raise SchemaError("$", f"unknown scalar sequence {type(scalars).__name__}")
-
-
 def parse_scalars(obj, path: str = "$") -> ScalarSeq:
     if isinstance(obj, str):
         obj = {"kind": obj}
@@ -311,6 +241,3 @@ def parse_scalars(obj, path: str = "$") -> ScalarSeq:
         raise SchemaError(f"{path}.values", "scalars must be nonzero")
     return ExplicitScalars(parsed)
 
-
-def fraction_or_none_to_json(value):
-    return None if value is None else format_fraction(value)

@@ -214,8 +214,6 @@ def in_ball(x: FiniteVector, ball: Ball, rel_tolerance: Fraction | None = None) 
 class WeightSpec:
     """Positive weight sequence w_1, w_2, ... for a weighted shift."""
 
-    kind = "abstract"
-
     def weight(self, n: int) -> Fraction:
         raise NotImplementedError
 
@@ -237,8 +235,6 @@ class WeightSpec:
 class ConstantWeights(WeightSpec):
     value: Fraction
 
-    kind = "constant"
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", Fraction(self.value))
         if self.value <= 0:
@@ -258,8 +254,6 @@ class ConstantWeights(WeightSpec):
 
 @dataclass(frozen=True)
 class UnitWeights(WeightSpec):
-    kind = "unit"
-
     def weight(self, n: int) -> Fraction:
         return Fraction(1)
 
@@ -275,8 +269,6 @@ class UnitWeights(WeightSpec):
 @dataclass(frozen=True)
 class ExplicitWeights(WeightSpec):
     values: tuple[Fraction, ...]
-
-    kind = "explicit"
 
     def __post_init__(self) -> None:
         vals = tuple(Fraction(v) for v in self.values)
@@ -358,8 +350,6 @@ class ValleyWeights(WeightSpec):
     depth: int
     _table: dict = field(init=False, repr=False, compare=False)
     _table_end: object = field(init=False, repr=False, compare=False)
-
-    kind = "valley"
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -532,9 +522,6 @@ def invert(op: Operator) -> Operator:
 class ScalarSeq:
     """Scalar sequence lambda_n with the convention lambda_0 = 1."""
 
-    kind = "abstract"
-    exact = True
-
     def value(self, n: int) -> Fraction:
         raise NotImplementedError
 
@@ -544,8 +531,6 @@ class ScalarSeq:
 
 @dataclass(frozen=True)
 class OneScalars(ScalarSeq):
-    kind = "one"
-
     def value(self, n: int) -> Fraction:
         if n < 0:
             raise InvalidArgumentError("scalar index must be non-negative")
@@ -555,8 +540,6 @@ class OneScalars(ScalarSeq):
 @dataclass(frozen=True)
 class DyadicSqrtScalars(ScalarSeq):
     """lambda_n = 2^ceil(sqrt(n)), exact dyadic growth."""
-
-    kind = "dyadic-sqrt"
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -570,9 +553,6 @@ class DyadicSqrtScalars(ScalarSeq):
 @dataclass(frozen=True)
 class ExpSqrtScalars(ScalarSeq):
     """lambda_n = e^sqrt(n); float-only, exact mode must refuse it."""
-
-    kind = "exp-sqrt"
-    exact = False
 
     def value(self, n: int) -> Fraction:
         raise ModeMismatchError("e^sqrt(n) scalars have no exact representation")
@@ -588,8 +568,6 @@ class ExplicitScalars(ScalarSeq):
     """Explicit lambda_1, lambda_2, ...; lambda_0 is fixed to 1."""
 
     values: tuple[Fraction, ...]
-
-    kind = "explicit"
 
     def __post_init__(self) -> None:
         vals = tuple(Fraction(v) for v in self.values)

@@ -4,11 +4,15 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from aporbit import cli
 from aporbit.cli import main
+from aporbit.errors import MonotonicityError
+from aporbit.recurrence import RecurrenceWitness
+from aporbit.spaces import FiniteVector
 
 
 def run_cli(capsys, argv, stdin=None):
@@ -250,6 +254,23 @@ class TestMultirec:
         assert report["conclusive"] is False
         assert "witness" not in report
         assert "inconclusive" in report["note"]
+
+    def test_unverified_witness_is_not_exit_0(self, capsys, monkeypatch):
+        # a witness whose fresh walk missed the ball is reported, never as a success
+        def failed_witness(*args):
+            return RecurrenceWitness(
+                q=3,
+                x=FiniteVector.basis(0),
+                m=1,
+                verified_memberships=(True, False),
+                distances=(Fraction(0), Fraction(1)),
+            )
+
+        monkeypatch.setattr(cli, "multirec_witness", failed_witness)
+        code, report = run_json(capsys, self.BASE + ["--m", "1"])
+        assert code == 1
+        assert report["verdict"] == "witness"
+        assert report["verified"] is False
 
 
 class TestUniversal:
@@ -512,6 +533,19 @@ class TestConfig:
         assert set(report) == {"command", "mode", "verdict", "verified", "error"}
         assert report["verdict"] == "error"
 
+    def test_monotonicity_report(self, capsys, monkeypatch):
+        def refuse(ls):
+            raise MonotonicityError("growth profile is not increasing")
+
+        monkeypatch.setattr(cli, "gowers_table", refuse)
+        code, out, err = run_cli(capsys, ["gowers", "--l", "11"])
+        report = json.loads(out)
+        assert code == 1
+        assert set(report) == {"command", "conclusive", "error", "mode", "verdict", "verified"}
+        assert report["verdict"] == "inconclusive"
+        assert report["conclusive"] is False and report["verified"] is False
+        assert err == ""
+
 
 # ---------------------------------------------------------------------------
 # sweeps
@@ -537,6 +571,22 @@ class TestSweep:
         assert lines[0] == "n,n,k,r"
         assert lines[1] == "4,4,3,3"
         assert lines[2] == "5,5,3,4"
+
+    def test_config_file_is_the_base(self, capsys, tmp_path):
+        base = {"weights": {"kind": "unit"}, "ball": {"center": "e0", "radius": "1/4"}, "m": 1}
+        cfg_file = tmp_path / "base.json"
+        cfg_file.write_text(json.dumps(base))
+        code, report = run_json(
+            capsys,
+            ["sweep", "--command", "multirec", "--config", str(cfg_file),
+             "--grid", '{"q_max": [1, 3]}'],
+        )
+        assert code == 1  # unit weights exhaust every run
+        assert report["config"]["base"] == base
+        assert [r["config"] for r in report["runs"]] == [
+            {**base, "q_max": 1},
+            {**base, "q_max": 3},
+        ]
 
     def test_exit_code_is_worst_of_runs(self, capsys):
         code, report = run_json(

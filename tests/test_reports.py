@@ -2,9 +2,9 @@
 
 Each case pins one report byte for byte, so a change that alters any
 report, down to a key order or a trailing newline, fails here.  The cases
-cover every subcommand, the three exhausted-search payloads, float mode
-and a schema error.  After an intended report change, re-pin a case with
-`report_digest`.
+cover every subcommand, the four exhausted-search payloads (in JSON and
+CSV), float mode, a schema error and a flag that is not JSON.  After an
+intended report change, re-pin a case with `report_digest`.
 """
 
 import hashlib
@@ -152,6 +152,34 @@ CASES = {
          "--k", "4", "--p", '"inf"'],
         0,
         "157d585e9845cf5ba43658511d2a3841e5e984c70320876266930b9e9b0b2b00",
+    ),
+    "shift-check-exhausted": (
+        ["shift-check", "--weights", '{"kind":"unit"}', "--epsilon", "1/2", "--p-max", "1",
+         "--m-max", "1", "--q-max", "20"],
+        1,
+        "b160147085f2430d9585eeaf50ee5a712031eb2d44d0792e319f2dd145f2bfb7",
+    ),
+    "shift-check-exhausted-csv": (
+        ["shift-check", "--weights", '{"kind":"unit"}', "--epsilon", "1/2", "--p-max", "1",
+         "--m-max", "1", "--q-max", "20", "--output", "csv"],
+        1,
+        "06c6dc9ec79e779e744870f06b2fddbfe55a2b9dfc1134079003e0f0a8ca037b",
+    ),
+    "vdw-csv": (
+        ["vdw", "--n", "9", "--k", "3", "--output", "csv"],
+        0,
+        "83cc990e2ddb6ef1ffe25e89e5bfc2a2ca0e96ba35eee82fe82d0d1639dfe442",
+    ),
+    "nested-exhausted-csv": (
+        ["nested", "--weights", UNIT, "--ball", '{"center": "e0", "radius": "1/2"}',
+         "--stages", "1", "--q-max", "15", "--output", "csv"],
+        1,
+        "969158cec00ca03432288d95d589c1c1945ae202a909a217590d1aee66a2c2a5",
+    ),
+    "flag-not-json": (
+        ["multirec", "--weights", CONST2, "--ball", "{bad", "--m", "1"],
+        2,
+        "5242e4dd133f5e836b7714822f7962056aeb1e00154097b17adb921dc8d3fa8f",
     ),
     "schema-error": (
         ["multirec", "--weights", CONST2, "--p", "3",

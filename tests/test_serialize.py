@@ -1,4 +1,11 @@
-"""Round-trip and schema-error tests for the JSON wire format."""
+"""Wire-format tests: literals parse to their objects, bad input is a schema error.
+
+Reports echo their configs verbatim, so the parsers define the wire format
+of weights, balls, operators and scalars; only rationals and vectors are
+ever written, by `format_fraction` and `vector_to_json`.  Each
+`test_round_trip` case takes a literal as a report echoes it to the object
+it stands for.
+"""
 
 import random
 from fractions import Fraction
@@ -7,10 +14,7 @@ import pytest
 
 from aporbit.errors import SchemaError
 from aporbit.serialize import (
-    ball_to_json,
     format_fraction,
-    fraction_or_none_to_json,
-    operator_to_json,
     parse_ball,
     parse_fraction,
     parse_laterality,
@@ -19,9 +23,7 @@ from aporbit.serialize import (
     parse_scalars,
     parse_vector,
     parse_weights,
-    scalars_to_json,
     vector_to_json,
-    weights_to_json,
 )
 from aporbit.spaces import (
     BILATERAL,
@@ -71,10 +73,6 @@ class TestFractions:
         with pytest.raises(SchemaError):
             parse_fraction("1/2/3")
 
-    def test_none_sentinel(self):
-        assert fraction_or_none_to_json(None) is None
-        assert fraction_or_none_to_json(Fraction(1, 3)) == "1/3"
-
 
 class TestVectors:
     def test_triple_round_trip(self):
@@ -113,14 +111,18 @@ class TestWeights:
     @pytest.mark.parametrize(
         "w",
         [
-            UnitWeights(),
-            ConstantWeights(Fraction(5, 2)),
-            ExplicitWeights((Fraction(1), Fraction(2), Fraction(1, 2))),
-            ValleyWeights(3),
+            ({"kind": "unit"}, UnitWeights()),
+            ({"kind": "constant", "value": "5/2"}, ConstantWeights(Fraction(5, 2))),
+            (
+                {"kind": "explicit", "values": ["1/1", 2, "1/2"]},
+                ExplicitWeights((Fraction(1), Fraction(2), Fraction(1, 2))),
+            ),
+            ({"kind": "valley", "depth": 3}, ValleyWeights(3)),
         ],
     )
     def test_round_trip(self, w):
-        assert parse_weights(weights_to_json(w)) == w
+        wire, expected = w
+        assert parse_weights(wire) == expected
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError) as exc:
@@ -153,9 +155,14 @@ class TestSpaceAtoms:
 
 class TestBalls:
     def test_round_trip(self):
+        wire = {"center": [[0, 1, 1], [3, 1, 2]], "radius": "2/7", "p": 2}
         ball = Ball(e(0) + e(3, Fraction(1, 2)), Fraction(2, 7), SpaceSpec(2, UNILATERAL))
-        parsed = parse_ball(ball_to_json(ball), UNILATERAL)
-        assert parsed == ball
+        assert parse_ball(wire, UNILATERAL) == ball
+
+    def test_p_inf(self):
+        wire = {"center": "e-2", "radius": "1/3", "p": "inf"}
+        ball = Ball(e(-2), Fraction(1, 3), SpaceSpec(INF, BILATERAL))
+        assert parse_ball(wire, BILATERAL) == ball
 
     def test_p_defaults_to_one(self):
         parsed = parse_ball({"center": "e0", "radius": "1/2"}, UNILATERAL)
@@ -175,20 +182,47 @@ class TestOperators:
     @pytest.mark.parametrize(
         "op",
         [
-            BackwardShift(ConstantWeights(Fraction(2)), SpaceSpec(1, UNILATERAL)),
-            ForwardShift(UnitWeights(), SpaceSpec(2, BILATERAL)),
-            Scaled(Fraction(-1), BackwardShift(UnitWeights(), SpaceSpec(1, UNILATERAL))),
-            Power(3, BackwardShift(ValleyWeights(2), SpaceSpec(1, UNILATERAL))),
-            DirectSum(
-                (
-                    BackwardShift(UnitWeights(), SpaceSpec(INF, UNILATERAL)),
-                    BackwardShift(ConstantWeights(Fraction(2)), SpaceSpec(INF, UNILATERAL)),
-                )
+            (
+                {"kind": "backward", "weights": {"kind": "constant", "value": "2/1"}},
+                BackwardShift(ConstantWeights(Fraction(2)), SpaceSpec(1, UNILATERAL)),
+            ),
+            (
+                {"kind": "forward", "p": 2, "laterality": "bilateral"},
+                ForwardShift(UnitWeights(), SpaceSpec(2, BILATERAL)),
+            ),
+            (
+                {"kind": "scaled", "scalar": "-1", "inner": {"kind": "backward"}},
+                Scaled(Fraction(-1), BackwardShift(UnitWeights(), SpaceSpec(1, UNILATERAL))),
+            ),
+            (
+                {
+                    "kind": "power",
+                    "exponent": 3,
+                    "inner": {"kind": "backward", "weights": {"kind": "valley", "depth": 2}},
+                },
+                Power(3, BackwardShift(ValleyWeights(2), SpaceSpec(1, UNILATERAL))),
+            ),
+            (
+                {
+                    "kind": "direct-sum",
+                    "parts": [
+                        {"kind": "backward", "p": "inf"},
+                        {"kind": "backward", "weights": {"kind": "constant", "value": 2},
+                         "p": "inf", "laterality": "unilateral"},
+                    ],
+                },
+                DirectSum(
+                    (
+                        BackwardShift(UnitWeights(), SpaceSpec(INF, UNILATERAL)),
+                        BackwardShift(ConstantWeights(Fraction(2)), SpaceSpec(INF, UNILATERAL)),
+                    )
+                ),
             ),
         ],
     )
     def test_round_trip(self, op):
-        assert parse_operator(operator_to_json(op)) == op
+        wire, expected = op
+        assert parse_operator(wire) == expected
 
     def test_defaults(self):
         op = parse_operator({"kind": "backward"})
@@ -219,14 +253,18 @@ class TestScalars:
     @pytest.mark.parametrize(
         "s",
         [
-            OneScalars(),
-            DyadicSqrtScalars(),
-            ExpSqrtScalars(),
-            ExplicitScalars((Fraction(2), Fraction(1, 3))),
+            ({"kind": "one"}, OneScalars()),
+            ({"kind": "dyadic-sqrt"}, DyadicSqrtScalars()),
+            ({"kind": "exp-sqrt"}, ExpSqrtScalars()),
+            (
+                {"kind": "explicit", "values": ["2/1", "1/3"]},
+                ExplicitScalars((Fraction(2), Fraction(1, 3))),
+            ),
         ],
     )
     def test_round_trip(self, s):
-        assert parse_scalars(scalars_to_json(s)) == s
+        wire, expected = s
+        assert parse_scalars(wire) == expected
 
     def test_bare_string_shorthand(self):
         assert parse_scalars("dyadic-sqrt") == DyadicSqrtScalars()

@@ -1,9 +1,9 @@
 """Command-line front end: config in, JSON/CSV report out.
 
-Exit-code discipline (`_settled`, `_exhausted`, `_report_error`): 0 only
-for a verified value or witness, 1 for an exhausted (inconclusive) search
-or a result that failed re-verification, 2 for invalid input, which
-includes a float past the range of a double.  Reports echo the effective
+Exit-code discipline (`main`, `_report_error`): 0 only for a report whose
+`verified` is true, 1 for an exhausted (inconclusive) search or a result
+that failed re-verification, 2 for invalid input, which includes a usage
+error and a float past the range of a double.  Reports echo the effective
 config verbatim so that re-running with `--config` on that echo
 reproduces the report byte-for-byte in exact mode.
 
@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import sys
+from collections import namedtuple
 
 from .errors import (
     BudgetExceededError,
@@ -38,6 +39,7 @@ from .families import (
     szemeredi_r,
     vdw_check,
     coloring_avoids_progressions,
+    verify_witness,
 )
 from .gowers import gowers_table
 from .recurrence import (
@@ -81,14 +83,8 @@ _INCONCLUSIVE_NOTE = (
 )
 
 
-class RunResult:
-    """What a runner hands back: payload dict, exit code, CSV projection."""
-
-    def __init__(self, payload, exit_code, csv_header, csv_rows):
-        self.payload = payload
-        self.exit_code = exit_code
-        self.csv_header = csv_header
-        self.csv_rows = csv_rows
+# What a runner hands back: the payload dict and its CSV projection.
+RunResult = namedtuple("RunResult", "payload csv_header csv_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def _fr(value, mode):
 def _settled(csv_header, csv_rows, verdict="value", verified=True, **fields):
     """The report of a settled result: exit 0 only when it is verified, else 1."""
     payload = {"verdict": verdict, "verified": verified, "conclusive": True, **fields}
-    return RunResult(payload, OK if verified else EXHAUSTED, csv_header, csv_rows)
+    return RunResult(payload, csv_header, csv_rows)
 
 
 def _exhausted(bounds, header, rows=(), **fields):
@@ -170,7 +166,7 @@ def _exhausted(bounds, header, rows=(), **fields):
         **fields,
         "note": _INCONCLUSIVE_NOTE,
     }
-    return RunResult(payload, EXHAUSTED, header, rows)
+    return RunResult(payload, header, rows)
 
 
 def _k(config):
@@ -209,6 +205,7 @@ def run_analyze_set(config, mode):
     return _settled(
         ("initial", "step", "length"),
         [row],
+        verified=witness is None or verify_witness(witness, hits),
         size=len(hits),
         horizon=hits.horizon,
         bounds=bounds,
@@ -492,6 +489,7 @@ def run_nested(config, mode):
         ("stage", "q", "radius"),
         csv_rows,
         "witness",
+        all(st.witness.verified for st in refinement.stages[1:]),
         bounds=bounds,
         stages=stage_list,
         point=vector_to_json(refinement.point),
@@ -575,7 +573,6 @@ def run_sweep(inner_name, base_config, grid, limit_cfg, mode):
     runs = []
     csv_rows = []
     inner_header = None
-    exit_code = OK
     for combo in combos:
         cfg = copy.deepcopy(base_config)
         for key, value in zip(keys, combo):
@@ -584,24 +581,22 @@ def run_sweep(inner_name, base_config, grid, limit_cfg, mode):
         runs.append(
             {"command": inner_name, "mode": mode, "config": cfg, **result.payload}
         )
-        exit_code = max(exit_code, result.exit_code)
         inner_header = result.csv_header
         prefix = tuple(
             v if isinstance(v, (int, str)) else json.dumps(v, sort_keys=True)
             for v in combo
         )
         csv_rows.extend(prefix + row for row in result.csv_rows)
-    payload = {
-        "verdict": "value",
-        "verified": True,
-        "conclusive": all(r["conclusive"] for r in runs),
-        "bounds": bounds,
-        "inner": inner_name,
-        "grid": grid,
-        "runs": runs,
-    }
-    header = tuple(keys) + (inner_header or ())
-    return RunResult(payload, exit_code, header, csv_rows)
+    return _settled(
+        tuple(keys) + (inner_header or ()),
+        csv_rows,
+        verified=all(r["verified"] for r in runs),
+        conclusive=all(r["conclusive"] for r in runs),
+        bounds=bounds,
+        inner=inner_name,
+        grid=grid,
+        runs=runs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +678,13 @@ _OVERLAYS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise SchemaError instead of exiting."""
+
+    def error(self, message):
+        raise SchemaError("$", message)
+
+
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -699,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _new_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aporbit",
         description=(
             "Workbench for orbits, return sets, and arithmetic-progression "
@@ -784,8 +786,8 @@ def _emit(report, output, header, rows, out):
 def _report_error(exc, name, mode, out):
     """Write the report of a run that stopped on an exception; return its exit code.
 
-    A failed growth-profile check is inconclusive (exit 1); any other
-    error is invalid input (exit 2) and is repeated on stderr.
+    A growth-profile bracket that fails to re-verify is inconclusive (exit
+    1); any other error is invalid input (exit 2) and is repeated on stderr.
     """
     message = str(exc)
     if isinstance(exc, OverflowError):
@@ -809,12 +811,17 @@ def _report_error(exc, name, mode, out):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    out = sys.stdout
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else INVALID
+    except SchemaError as exc:
+        # the top-level parser takes no option but --help, so a subcommand comes first
+        words = sys.argv[1:] if argv is None else argv
+        named = words[0] if words and words[0] in {*RUNNERS, "sweep"} else None
+        return _report_error(exc, named, None, out)
+    except SystemExit as exc:  # --help
+        return exc.code
     name = args.subcommand
-    out = sys.stdout
     try:
         if name == "sweep":
             try:
@@ -843,7 +850,7 @@ def main(argv=None) -> int:
         return _report_error(exc, name, args.mode, out)
     report = {"command": name, "mode": args.mode, "config": config, **result.payload}
     _emit(report, args.output, result.csv_header, result.csv_rows, out)
-    return result.exit_code
+    return OK if result.payload["verified"] else EXHAUSTED
 
 
 def console_main() -> None:

@@ -59,12 +59,17 @@ def membership_gap(x: FiniteVector, ball: Ball) -> Fraction:
     return norm_key(x - ball.center, ball.space.p)
 
 
-def _all_return(
+def _return_gaps(
     seq: MapSequence, x: FiniteVector, ball: Ball, times, mode: str
-) -> bool:
-    """True when every requested iterate lands in the ball; stops at the first miss."""
+) -> tuple[Fraction, ...] | None:
+    """The membership_gap of each iterate, or None at the first miss (one walk)."""
     tol = _tolerance(mode)
-    return all(in_ball(v, ball, tol) for v in walk(seq, x, times, mode))
+    hits = []
+    for v in walk(seq, x, times, mode):
+        if not in_ball(v, ball, tol):
+            return None
+        hits.append(v)
+    return tuple(membership_gap(v, ball) for v in hits)
 
 
 def verify_return_times(
@@ -234,8 +239,9 @@ def multirec_witness(
     Candidates use steps beyond the center's support, so the backward
     shift strips the lifted layers one at a time and the final iterate
     reproduces the center exactly.  Each candidate's walk stops at its
-    first miss; the winner's memberships and distances are recomputed
-    from its own orbit.  None is inconclusive.
+    first miss; the walk that accepts the winner gives its distances, and
+    its memberships are re-verified on a fresh walk from x.  None is
+    inconclusive.
     """
     _check_mode(mode)
     if m < 0:
@@ -249,9 +255,9 @@ def multirec_witness(
     for q in range(start, q_max + 1):
         x = multirec_candidate(weights, y, q, m)
         times = [j * q for j in range(m + 1)]
-        if _all_return(seq, x, ball, times, mode):
+        gaps = _return_gaps(seq, x, ball, times, mode)
+        if gaps is not None:
             checks = verify_return_times(seq, x, ball, times, mode)
-            gaps = tuple(membership_gap(v, ball) for v in walk(seq, x, times, mode))
             return RecurrenceWitness(q, x, m, checks, gaps)
     return None
 
@@ -485,6 +491,7 @@ def pair_recurrence_search(
         raise InvalidArgumentError("m must be non-negative")
     if a_max < 1 or q_max < 1:
         raise InvalidArgumentError("bounds must be positive")
+    tol = _tolerance(mode)
     seq = Iterates(BackwardShift(weights, space))
     y_u = U.center
     a_top = y_u.max_support()
@@ -502,10 +509,10 @@ def pair_recurrence_search(
             x2 = y_u + lift_vector(weights, z2, a)
             times = [a + j * q for j in range(m + 1)]
             ok = (
-                _all_return(seq, x1, U, [0], mode)
-                and _all_return(seq, x2, U, [0], mode)
-                and _all_return(seq, x1, V1, times, mode)
-                and _all_return(seq, x2, V2, times, mode)
+                in_ball(x1, U, tol)
+                and in_ball(x2, U, tol)
+                and _return_gaps(seq, x1, V1, times, mode) is not None
+                and _return_gaps(seq, x2, V2, times, mode) is not None
             )
             if ok:
                 return PairWitness(x1, x2, a, q, m)

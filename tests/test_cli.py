@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from aporbit import cli
+from aporbit import cli, recurrence
 from aporbit.cli import main
 from aporbit.errors import MonotonicityError
+from aporbit.families import APWitness
 from aporbit.recurrence import RecurrenceWitness
 from aporbit.spaces import FiniteVector
 
@@ -71,6 +72,14 @@ class TestAnalyzeSet:
         code, report = run_json(capsys, ["analyze-set", "--horizon", "5", "--set", "[]"])
         assert code == 0
         assert report["longest_ap"] is None
+
+    def test_progression_outside_the_set_is_not_exit_0(self, capsys, monkeypatch):
+        # the reported progression is checked term by term against the set
+        monkeypatch.setattr(cli, "longest_ap", lambda hits: APWitness(1, 2, 3))
+        code, report = run_json(capsys, ["analyze-set", "--set", "[1, 2, 3, 4]"])
+        assert code == 1
+        assert report["longest_ap"] == {"initial": 1, "step": 2, "length": 3}
+        assert report["verified"] is False
 
     def test_empty_stdin_is_an_input_error(self, capsys):
         # refusing silently empty pipes beats analyzing a set nobody sent
@@ -206,6 +215,17 @@ class TestShiftCheck:
         assert lines[1] == "0,1,"
 
 
+def failed_witness(*args):
+    """A witness whose re-verification missed the ball at its last return."""
+    return RecurrenceWitness(
+        q=3,
+        x=FiniteVector.basis(0),
+        m=1,
+        verified_memberships=(True, False),
+        distances=(Fraction(0), Fraction(1)),
+    )
+
+
 class TestMultirec:
     BASE = [
         "multirec",
@@ -257,15 +277,6 @@ class TestMultirec:
 
     def test_unverified_witness_is_not_exit_0(self, capsys, monkeypatch):
         # a witness whose fresh walk missed the ball is reported, never as a success
-        def failed_witness(*args):
-            return RecurrenceWitness(
-                q=3,
-                x=FiniteVector.basis(0),
-                m=1,
-                verified_memberships=(True, False),
-                distances=(Fraction(0), Fraction(1)),
-            )
-
         monkeypatch.setattr(cli, "multirec_witness", failed_witness)
         code, report = run_json(capsys, self.BASE + ["--m", "1"])
         assert code == 1
@@ -343,6 +354,16 @@ class TestCombinatorial:
         assert code == 2
         assert report["verdict"] == "error"
 
+    def test_gowers_domain_cap(self, capsys):
+        code, _ = run_json(capsys, ["gowers", "--l", str(2**49)])
+        assert code == 0
+        code, out, err = run_cli(capsys, ["gowers", "--l", str(2**49 + 1)])
+        report = json.loads(out)
+        assert code == 2
+        assert set(report) == {"command", "mode", "verdict", "verified", "error"}
+        assert report["verdict"] == "error"
+        assert "2^49" in err
+
 
 # ---------------------------------------------------------------------------
 # pair / nested / joint-count commands
@@ -391,6 +412,17 @@ class TestSearchCommands:
         assert qs == [None, 4, 5]
         assert radii == ["1/2", "1/4", "1/8"]
         assert report["point"] == report["stages"][-1]["center"]
+
+    def test_nested_unverified_stage_is_not_exit_0(self, capsys, monkeypatch):
+        monkeypatch.setattr(recurrence, "multirec_witness", failed_witness)
+        code, report = run_json(
+            capsys,
+            ["nested", "--weights", '{"kind": "constant", "value": "2"}',
+             "--ball", '{"center": "e0", "radius": "1/2"}', "--stages", "1"],
+        )
+        assert code == 1
+        assert report["verdict"] == "witness"
+        assert report["verified"] is False
 
     def test_nested_failure_reports_stage(self, capsys):
         code, report = run_json(
@@ -582,6 +614,7 @@ class TestSweep:
              "--grid", '{"q_max": [1, 3]}'],
         )
         assert code == 1  # unit weights exhaust every run
+        assert report["verified"] is False
         assert report["config"]["base"] == base
         assert [r["config"] for r in report["runs"]] == [
             {**base, "q_max": 1},
@@ -642,6 +675,35 @@ class TestParser:
         ["gowers", "--l", "11"],
         TestMultirec.BASE + ["--m", "2", "--length", "3"],
     ]
+
+    @pytest.mark.parametrize(
+        "argv, command, words",
+        [
+            (["szemeredi", "--bogus", "1"], "szemeredi", "unrecognized arguments"),
+            (["szemeredi", "--n", "x"], "szemeredi", "invalid int value"),
+            ([], None, "required"),
+            (["bogus"], None, "invalid choice"),
+        ],
+        ids=["unknown-flag", "bad-int", "no-subcommand", "unknown-subcommand"],
+    )
+    def test_usage_error_is_an_error_report(self, capsys, argv, command, words):
+        code, out, err = run_cli(capsys, argv)
+        report = json.loads(out)
+        assert code == 2
+        assert report == {
+            "command": command,
+            "mode": None,
+            "verdict": "error",
+            "verified": False,
+            "error": report["error"],
+        }
+        assert words in report["error"]
+        assert err == f"error: {report['error']}\n"
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, ["szemeredi", "--help"])
+        assert code == 0
+        assert out.startswith("usage: aporbit szemeredi")
 
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()

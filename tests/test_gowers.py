@@ -10,9 +10,6 @@ from aporbit import gowers
 from aporbit.errors import DomainError
 from aporbit.families import szemeredi_r
 from aporbit.gowers import (
-    _grid,
-    _grid_ratio,
-    check_growth_monotone,
     gowers_bound,
     gowers_row,
     gowers_table,
@@ -44,39 +41,22 @@ class TestGrowthProfile:
             growth_profile(0)
 
     def test_strictly_increasing_on_integer_grid(self):
-        check_growth_monotone(10**7)
         prev = growth_profile(4)
         for t in range(5, 3000):
             cur = growth_profile(t)
             assert cur > prev
             prev = cur
-
-    def test_monotone_guard_caches(self):
-        # second call with a smaller bound must be a no-op (covered by cache)
-        check_growth_monotone(10**6)
-        check_growth_monotone(10**3)
-
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [(4, 1000), (500, 1000), (4, 1101), (500, 20_000), (1100, 20_000),
-         (5000, 320_000), (160_000, 320_000), (4, 10**7), (160_000, 10**7)],
-    )
-    def test_extension_grid_as_dense_as_full_grid(self, lo, hi):
-        # extending the verified bound from lo samples the new stretch at
-        # least as densely as a grid built from 4 up to hi: a step from a
-        # goes at most to a * ratio, rounded up, or to a + 1
-        part = _grid(lo, hi)
-        assert part[0] == lo and part[-1] == hi
-        assert all(a < b for a, b in zip(part, part[1:]))
-        ratio = _grid_ratio(hi)
-        for a, b in zip(part, part[1:]):
-            assert b - a <= max(1, a * (ratio - 1) + ratio)
+        # profile_inverse caps l at 2^49, so m_l ~ 1.73 l stays below 2^51,
+        # where doubles still separate neighbouring values
+        rng = random.Random(51)
+        for octave in range(12, 51):
+            for _ in range(200):
+                m = rng.randrange(2**octave, 2 ** (octave + 1))
+                assert growth_profile(m) < growth_profile(m + 1)
 
     def test_growing_bounds_extend_the_verified_grid(self, monkeypatch):
-        # the bracket of every l in 4..200 widens the bound ~200 times; each
-        # widening samples only the new stretch (resampling from 4 each
-        # time took about 1.7 million evaluations)
-        monkeypatch.setattr(gowers, "_verified_to", 4)
+        # the bracket of every l in 4..200 costs a doubling and a bisection
+        # of about 2 log2(l) evaluations, and nothing else
         evals = []
         real = gowers.growth_profile
 
@@ -87,8 +67,7 @@ class TestGrowthProfile:
         monkeypatch.setattr(gowers, "growth_profile", counting)
         for l in range(4, 201):
             profile_inverse(l)
-        assert gowers._verified_to >= 160_000
-        assert len(evals) < 40_000
+        assert len(evals) < 4_000
 
 
 class TestProfileInverse:
@@ -105,6 +84,23 @@ class TestProfileInverse:
     def test_domain(self):
         with pytest.raises(DomainError):
             profile_inverse(3)
+        assert profile_inverse(2**49) > 2**49
+        with pytest.raises(DomainError):
+            profile_inverse(2**49 + 1)
+
+    def test_agrees_with_high_precision_oracle(self):
+        # 60-digit f(m) <= l < f(m + 1); double rounding first moves m_l
+        # near l = 2^40, so the oracle's range stops at 2^36
+        def f(t):
+            lll = mp.log(mp.log(mp.log(mp.mpf(t), 2), 2), 2)
+            return t * mp.power(2, -mp.sqrt(lll) / 2)
+
+        rng = random.Random(36)
+        with mp.workdps(60):
+            for _ in range(400):
+                l = int(2 ** rng.uniform(2, 36))
+                m = profile_inverse(l)
+                assert f(m) <= l < f(m + 1)
 
     def test_ratio_growth(self):
         # m_l / l creeps upward as the damping factor decays

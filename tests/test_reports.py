@@ -111,7 +111,7 @@ CASES = {
          '{"weights": [' + CONST2 + ", " + UNIT + '], '
          '"ball": [{"center": "e0", "radius": "1/4"}], "m": [1, 2], "q_max": [20]}'],
         1,
-        "49efb58c84a90978b13681752d0db89cf42a4e7ef590065623f8a68e054c0ded",
+        "3bfa3b22da6574dfc8a18f459c889eca1b30f95dd3be10644f861b53865c636d",
     ),
     "multirec-exhausted": (
         ["multirec", "--weights", UNIT, "--ball", '{"center": "e0", "radius": "1/4"}',

@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -76,6 +77,7 @@ from .spaces import (
 OK = 0
 EXHAUSTED = 1
 INVALID = 2
+BROKEN_PIPE = 141  # what shells report for a process killed by SIGPIPE (128 + 13)
 
 _INCONCLUSIVE_NOTE = (
     "search exhausted its bounds without a witness; "
@@ -854,7 +856,16 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # a closed pipe must surface here, not in the interpreter's exit flush
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe in Python's `signal` docs: later flushes write to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -96,9 +96,7 @@ def _kind_of(obj, path: str, allowed) -> str:
 
 
 def vector_to_json(v: FiniteVector) -> list:
-    return [
-        [idx, c.numerator, c.denominator] for idx, c in v.items()
-    ]
+    return [list(t) for t in v.triples()]
 
 
 def parse_vector(obj, path: str = "$") -> FiniteVector:

@@ -1,11 +1,15 @@
 """Exact sequence-space kernel: sparse rational vectors and shift algebra.
 
-Vectors are finitely supported with Fraction coefficients; zero
-coefficients are never stored and equality is exact.  The backward shift
-maps e_n to w_n * e_(n-1) (weights are indexed by the source basis index,
-so the weight list is 1-indexed), and the forward shift is its exact
-right inverse e_n -> e_(n+1)/w_(n+1).  On the unilateral side the
-backward shift annihilates e_0 and negative indices are rejected.
+A vector is finitely supported: integer numerators (index -> nonzero int)
+over one shared positive denominator, the layout of FLINT's fmpq_poly.
+The canonical form divides out gcd(denominator, every numerator), so equal
+vectors have equal fields and equality is exact.  Arithmetic works on the
+integers and reduces once per new vector; a coefficient is brought to
+lowest terms only when it is read.  The backward shift maps e_n to
+w_n * e_(n-1) (weights are indexed by the source basis index, so the
+weight list is 1-indexed), and the forward shift is its exact right
+inverse e_n -> e_(n+1)/w_(n+1).  On the unilateral side the backward
+shift annihilates e_0 and negative indices are rejected.
 
 Norm decisions are exact over the rationals: the l2 case compares
 squares, and open balls use strict inequality.  Instances here are
@@ -39,17 +43,39 @@ def _coeff(value) -> Fraction:
     return Fraction(value)
 
 
-def _trusted(entries: dict) -> "FiniteVector":
-    """Wrap a dict of distinct indices and nonzero Fractions without re-checking it."""
+def _vector(num: dict, den: int, reduced: bool = False) -> "FiniteVector":
+    """num[i]/den for nonzero int numerators and den > 0, in canonical form.
+
+    `reduced` says the caller has shown that gcd(den, *num) is already 1.
+    """
+    if not reduced:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {idx: n // g for idx, n in num.items()}
+            den //= g
     out = FiniteVector.__new__(FiniteVector)
-    out._entries = entries
+    out._num = num
+    out._den = den
     return out
+
+
+def _times(num: dict, den: int, p: int, q: int) -> "FiniteVector":
+    """(num[i]/den) * (p/q), for canonical num/den and p/q in lowest terms with q > 0.
+
+    The only common factors left are gcd(den, p) and gcd(q, *num), so the
+    product is reduced without a gcd over the (large) products themselves.
+    """
+    g, h = math.gcd(den, p), math.gcd(q, *num.values())
+    p //= g
+    if p != 1 or h != 1:
+        num = {idx: n // h * p for idx, n in num.items()}
+    return _vector(num, den // g * (q // h), reduced=True)
 
 
 class FiniteVector:
     """Immutable sparse vector over the rationals, indexed by integers."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, entries=()):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -62,75 +88,104 @@ class FiniteVector:
                 data.pop(idx, None)
             else:
                 data[idx] = c
-        self._entries = data
+        # over the lcm of lowest-terms denominators the form is canonical
+        den = math.lcm(*(c.denominator for c in data.values()))
+        self._num = {idx: c.numerator * (den // c.denominator) for idx, c in data.items()}
+        self._den = den
 
     @classmethod
     def basis(cls, index: int, coefficient=1) -> "FiniteVector":
         return cls({index: coefficient})
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted(self._entries.items()))
+        den = self._den
+        return tuple((idx, Fraction(self._num[idx], den)) for idx in sorted(self._num))
+
+    def triples(self) -> list[tuple[int, int, int]]:
+        """(index, numerator, denominator) in index order, each coefficient in lowest terms."""
+        den = self._den
+        out = []
+        for idx in sorted(self._num):
+            n = self._num[idx]
+            g = math.gcd(n, den)
+            out.append((idx, n // g, den // g))
+        return out
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self._num))
 
     def coefficient(self, index: int) -> Fraction:
-        return self._entries.get(index, Fraction(0))
+        return Fraction(self._num.get(index, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._num
 
     def max_support(self) -> int | None:
-        return max(self._entries) if self._entries else None
+        return max(self._num) if self._num else None
 
     def min_support(self) -> int | None:
-        return min(self._entries) if self._entries else None
+        return min(self._num) if self._num else None
+
+    def _plus(self, other: "FiniteVector", sign: int) -> tuple[dict, int]:
+        """self + sign * other as numerators over lcm of the denominators, not reduced."""
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        num = {idx: n * a for idx, n in self._num.items()}
+        for idx, n in other._num.items():
+            s = num.get(idx, 0) + n * b
+            if s:
+                num[idx] = s
+            else:
+                num.pop(idx, None)
+        return num, den
 
     def __add__(self, other: "FiniteVector") -> "FiniteVector":
-        data = dict(self._entries)
-        for idx, c in other._entries.items():
-            s = data.get(idx, Fraction(0)) + c
-            if s == 0:
-                data.pop(idx, None)
-            else:
-                data[idx] = s
-        return _trusted(data)
+        return _vector(*self._plus(other, 1))
 
     def __sub__(self, other: "FiniteVector") -> "FiniteVector":
-        return self + other.scale(-1)
+        return _vector(*self._plus(other, -1))
 
     def scale(self, scalar) -> "FiniteVector":
         s = _coeff(scalar)
         if s == 0:
             return FiniteVector()
-        return _trusted({idx: c * s for idx, c in self._entries.items()})
+        return _times(self._num, self._den, s.numerator, s.denominator)
 
     def shift_support(self, offset: int) -> "FiniteVector":
-        return _trusted({idx + offset: c for idx, c in self._entries.items()})
+        return _vector({idx + offset: n for idx, n in self._num.items()}, self._den, reduced=True)
 
     def l1(self) -> Fraction:
-        return sum((abs(c) for c in self._entries.values()), Fraction(0))
+        return norm_key(self, 1)
 
     def l2_squared(self) -> Fraction:
-        return sum((c * c for c in self._entries.values()), Fraction(0))
+        return norm_key(self, 2)
 
     def sup(self) -> Fraction:
-        return max((abs(c) for c in self._entries.values()), default=Fraction(0))
+        return norm_key(self, INF)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteVector):
             return NotImplemented
-        return self._entries == other._entries
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "FiniteVector(0)"
         body = " + ".join(f"({c})e_{idx}" for idx, c in self.items())
         return f"FiniteVector({body})"
+
+
+def _norm_ratio(nums, den: int, p) -> tuple[int, int]:
+    """||x||_p of x = nums/den as (numerator, denominator), squared when p = 2, not reduced."""
+    if p == 1:
+        return sum(map(abs, nums)), den
+    if p == 2:
+        return sum(n * n for n in nums), den * den
+    return max(map(abs, nums), default=0), den
 
 
 ZERO = FiniteVector()
@@ -152,25 +207,28 @@ class SpaceSpec:
 
 def norm_key(x: FiniteVector, p) -> Fraction:
     """||x||_p, squared when p = 2, so that it stays an exact rational."""
-    if p == 1:
-        return x.l1()
+    return Fraction(*_norm_ratio(x._num.values(), x._den, p))
+
+
+def _norm_cmp(nums, den: int, bound: Fraction, p) -> int:
+    """The sign of ||nums/den||_p - bound, by integer cross-multiplication; bound >= 0."""
+    bound = Fraction(bound)
+    b, c = bound.numerator, bound.denominator
     if p == 2:
-        return x.l2_squared()
-    return x.sup()
+        b, c = b * b, c * c
+    n, d = _norm_ratio(nums, den, p)
+    lhs, rhs = n * c, b * d
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def norm_lt(x: FiniteVector, bound: Fraction, p) -> bool:
     """Exact test of ||x||_p < bound."""
-    if bound <= 0:
-        return False
-    return norm_key(x, p) < (bound * bound if p == 2 else bound)
+    return bound > 0 and _norm_cmp(x._num.values(), x._den, bound, p) < 0
 
 
 def norm_le(x: FiniteVector, bound: Fraction, p) -> bool:
     """Exact test of ||x||_p <= bound."""
-    if bound < 0:
-        return False
-    return norm_key(x, p) <= (bound * bound if p == 2 else bound)
+    return bound >= 0 and _norm_cmp(x._num.values(), x._den, bound, p) <= 0
 
 
 def _check_laterality(x: FiniteVector, space: SpaceSpec, role: str) -> None:
@@ -208,7 +266,11 @@ def in_ball(x: FiniteVector, ball: Ball, rel_tolerance: Fraction | None = None) 
     radius = ball.radius
     if rel_tolerance is not None:
         radius = radius * (1 - rel_tolerance)
-    return norm_lt(x - ball.center, radius, ball.space.p)
+    if radius <= 0:
+        return False
+    # x - center over the lcm of the two denominators; the comparison needs no reduction
+    num, den = x._plus(ball.center, -1)
+    return _norm_cmp(num.values(), den, radius, ball.space.p) < 0
 
 
 class WeightSpec:
@@ -454,33 +516,54 @@ def operator_space(op: Operator) -> SpaceSpec:
     raise InvalidArgumentError(f"not an operator: {op!r}")
 
 
+def _shift(op: Union[BackwardShift, ForwardShift], x: FiniteVector) -> FiniteVector:
+    """One weighted shift, walking x in stored order so range errors name the first index met."""
+    uni = op.space.laterality == UNILATERAL
+    back = isinstance(op, BackwardShift)
+    step = -1 if back else 1
+    weights = op.weights
+    if isinstance(weights, (UnitWeights, ConstantWeights)):
+        # one weight for every index: one integer factor each side of the fraction bar
+        moved = {}
+        for n, c in x._num.items():
+            if uni and n < 0:
+                raise InvalidArgumentError("negative support in a unilateral space")
+            if not (back and uni and n == 0):
+                moved[n + step] = c
+        den = x._den
+        if len(moved) < len(x._num):
+            # annihilating e_0 can leave a common factor
+            v = _vector(moved, den)
+            moved, den = v._num, v._den
+        w = weights.weight(1)
+        p, q = (w.numerator, w.denominator) if back else (w.denominator, w.numerator)
+        return _times(moved, den, p, q)
+    weight = weights.weight
+    terms = []
+    for n, c in x._num.items():
+        if uni and n < 0:
+            raise InvalidArgumentError("negative support in a unilateral space")
+        if back:
+            if uni and n == 0:
+                continue
+            w = weight(n)
+            terms.append((n - 1, c * w.numerator, w.denominator))
+        else:
+            w = weight(n + 1)
+            terms.append((n + 1, c * w.denominator, w.numerator))
+    den = math.lcm(*(d for _, _, d in terms))
+    return _vector({n: c * (den // d) for n, c, d in terms}, x._den * den)
+
+
 def apply(op: Operator, x: FiniteVector) -> FiniteVector:
     """One exact application of the operator to a finitely supported vector.
 
-    Every image is built without re-normalising: a shift moves distinct
-    indices to distinct indices and multiplies by a positive weight, so no
-    coefficient collides or vanishes.
+    A shift moves distinct indices to distinct indices and multiplies by a
+    positive weight, so no coefficient collides or vanishes; each image is
+    reduced once, over its shared denominator.
     """
-    if isinstance(op, BackwardShift):
-        uni = op.space.laterality == UNILATERAL
-        weight = op.weights.weight
-        out: dict[int, Fraction] = {}
-        for n, c in x._entries.items():
-            if uni and n < 0:
-                raise InvalidArgumentError("negative support in a unilateral space")
-            if uni and n == 0:
-                continue
-            out[n - 1] = c * weight(n)
-        return _trusted(out)
-    if isinstance(op, ForwardShift):
-        uni = op.space.laterality == UNILATERAL
-        weight = op.weights.weight
-        out = {}
-        for n, c in x._entries.items():
-            if uni and n < 0:
-                raise InvalidArgumentError("negative support in a unilateral space")
-            out[n + 1] = c / weight(n + 1)
-        return _trusted(out)
+    if isinstance(op, (BackwardShift, ForwardShift)):
+        return _shift(op, x)
     if isinstance(op, Scaled):
         return apply(op.inner, x).scale(op.scalar)
     if isinstance(op, Power):
@@ -490,15 +573,18 @@ def apply(op: Operator, x: FiniteVector) -> FiniteVector:
         return v
     if isinstance(op, DirectSum):
         r = len(op.parts)
-        split: list[dict[int, Fraction]] = [dict() for _ in range(r)]
-        for g, c in x._entries.items():
+        split: list[dict[int, int]] = [dict() for _ in range(r)]
+        for g, c in x._num.items():
             split[g % r][g // r] = c
-        merged: dict[int, Fraction] = {}
-        for i, part in enumerate(op.parts):
-            image = apply(part, _trusted(split[i]))
-            for n, c in image._entries.items():
-                merged[n * r + i] = c
-        return _trusted(merged)
+        images = [apply(part, _vector(split[i], x._den)) for i, part in enumerate(op.parts)]
+        den = math.lcm(*(image._den for image in images))
+        merged: dict[int, int] = {}
+        for i, image in enumerate(images):
+            f = den // image._den
+            for n, c in image._num.items():
+                merged[n * r + i] = c * f
+        # over the lcm of canonical denominators the form stays canonical
+        return _vector(merged, den, reduced=True)
     raise InvalidArgumentError(f"not an operator: {op!r}")
 
 

@@ -732,3 +732,18 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout == "n,k,r\n5,3,4\n"
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # the report is far larger than a pipe buffer, so the writer meets the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "aporbit.cli", "gowers", "--l-min", "4", "--l-max", "2000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.BROKEN_PIPE == 141
+        assert "Traceback" not in err

@@ -187,6 +187,50 @@ CASES = {
         2,
         "dcaefffbb8060f684306ba9e7df4fd4df09cd4f554bcb399fe2c771e8baff758",
     ),
+    # the first weight index out of range is the first one met in the
+    # vector's stored order (5 before 4), not the smallest
+    "orbit-weight-range-error": (
+        ["orbit", "--operator", '{"kind":"backward","weights":{"kind":"explicit","values":[2,3]}}',
+         "--x", "[[1,1,1],[5,1,1],[4,1,1]]", "--horizon", "1"],
+        2,
+        "ddd4eefa9b33a3f4ba983df739700dd2700e75201da72fab96e21f2f69fab851",
+    ),
+    # hits and misses within 1e-7 of the l2 boundary 3/sqrt(10)
+    "return-set-forward-explicit-l2": (
+        ["return-set", "--operator", '{"kind":"forward","weights":' + CONST2 + "}",
+         "--scalars", '{"kind":"explicit","values":["2","37944/10000","-75896/10000","8",'
+         '"-12","304/5","2304/19","-256","2304/5","3072","2048/3","38858068/10000"]}',
+         "--x", "[[0,1,1],[2,-1,3]]", "--ball", '{"center":[],"radius":"1","p":2}',
+         "--horizon", "12"],
+        0,
+        "fc1f8a3bf141f951ffa0cd7497df92fc0f06c625931bbe440e402d0ec08a82ca",
+    ),
+    "puig-count-bilateral-sup": (
+        ["puig-count", "--operator",
+         '{"kind":"backward","weights":{"kind":"constant","value":"1/2"},"laterality":"bilateral"}',
+         "--scalars", "dyadic-sqrt", "--x", "[[-2,1,3],[4,8,1],[9,64,1],[16,-5,7]]",
+         "--ball", '{"center":[[-3,1,5]],"radius":"1/2","p":"inf"}', "--m", "2", "--q", "3",
+         "--horizon", "30"],
+        0,
+        "4238147a841a3156d4367825904eb285cb6a05ff9b7c715499b62fc9bd5fb524",
+    ),
+    # coefficients of hundreds of bits
+    "orbit-power-bilateral-long": (
+        ["orbit", "--operator",
+         '{"kind":"power","exponent":4,"inner":{"kind":"backward","weights":'
+         '{"kind":"constant","value":"3/2"},"laterality":"bilateral"}}',
+         "--x", "[[-7,2,3],[0,1,1],[5,-4,9],[13,7,11]]", "--horizon", "60"],
+        0,
+        "38fe1d98a403596a81e3e70ef801ba1d97644cc09a789c66389fa61d8a34c55a",
+    ),
+    "return-set-float": (
+        ["return-set", "--mode", "float", "--scalars", "exp-sqrt", "--operator",
+         '{"kind":"backward","weights":{"kind":"constant","value":"3/2"}}',
+         "--x", "[[0,1,1],[3,1,2],[7,-2,5],[12,1,9]]",
+         "--ball", '{"center":[],"radius":"5","p":1}', "--horizon", "30"],
+        0,
+        "8a556f95c694ca78d1e5445818b1c034f429ad703bdfab9b35083bb24e6964d2",
+    ),
 }
 
 

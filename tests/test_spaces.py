@@ -9,6 +9,7 @@ import pytest
 from aporbit.errors import InvalidArgumentError, ModeMismatchError
 from aporbit.spaces import (
     BILATERAL,
+    FLOAT_MEMBERSHIP_TOL,
     INF,
     UNILATERAL,
     BackwardShift,
@@ -36,7 +37,9 @@ from aporbit.spaces import (
     iterate,
     norm_le,
     norm_lt,
+    operator_space,
     orbit,
+    walk,
 )
 
 L1 = SpaceSpec(1, UNILATERAL)
@@ -496,3 +499,164 @@ class TestOrbit:
         seq = Iterates(BackwardShift(UnitWeights(), L1))
         seen = [n for n, _ in orbit(seq, e(3), horizon=7)]
         assert seen == list(range(8))
+
+
+# ---------------------------------------------------------------------------
+# differential: the kernel against a dict-of-Fraction reference
+
+
+def ref_apply(op, x: dict) -> dict:
+    """One application of op to {index: Fraction}, straight from the definitions."""
+    if isinstance(op, BackwardShift):
+        uni = op.space.laterality == UNILATERAL
+        return {n - 1: c * op.weights.weight(n) for n, c in x.items() if not (uni and n == 0)}
+    if isinstance(op, ForwardShift):
+        return {n + 1: c / op.weights.weight(n + 1) for n, c in x.items()}
+    if isinstance(op, Scaled):
+        return {n: c * op.scalar for n, c in ref_apply(op.inner, x).items()}
+    if isinstance(op, Power):
+        for _ in range(op.exponent):
+            x = ref_apply(op.inner, x)
+        return x
+    r = len(op.parts)
+    out = {}
+    for i, part in enumerate(op.parts):
+        image = ref_apply(part, {g // r: c for g, c in x.items() if g % r == i})
+        out.update({n * r + i: c for n, c in image.items()})
+    return out
+
+
+def ref_norm(x: dict, p) -> Fraction:
+    if p == 1:
+        return sum((abs(c) for c in x.values()), Fraction(0))
+    if p == 2:
+        return sum((c * c for c in x.values()), Fraction(0))
+    return max((abs(c) for c in x.values()), default=Fraction(0))
+
+
+def ref_sub(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for n, c in y.items():
+        out[n] = out.get(n, Fraction(0)) - c
+    return {n: c for n, c in out.items() if c != 0}
+
+
+def random_fraction(rng: random.Random, positive: bool = False) -> Fraction:
+    lo = 1 if positive else -12
+    while True:
+        c = Fraction(rng.randint(lo, 12), rng.randint(1, 12))
+        if c != 0:
+            return c
+
+
+def random_shift(rng: random.Random):
+    """A weighted shift of either direction and side, with any of the four weight kinds."""
+    kind = rng.choice(["unit", "constant", "explicit", "valley"])
+    # explicit weights stop at index 1, so they live on the unilateral side
+    side = UNILATERAL if kind == "explicit" else rng.choice([UNILATERAL, BILATERAL])
+    weights = {
+        "unit": lambda: UnitWeights(),
+        "constant": lambda: ConstantWeights(random_fraction(rng, positive=True)),
+        "explicit": lambda: ExplicitWeights(tuple(random_fraction(rng, positive=True) for _ in range(80))),
+        "valley": lambda: ValleyWeights(rng.randint(1, 2)),
+    }[kind]()
+    shift = rng.choice([BackwardShift, ForwardShift])
+    return shift(weights, SpaceSpec(rng.choice([1, 2, INF]), side))
+
+
+def random_operator(rng: random.Random, depth: int = 2):
+    roll = rng.random() if depth else 0
+    if roll < 0.4:
+        return random_shift(rng)
+    if roll < 0.6:
+        return Scaled(random_fraction(rng), random_operator(rng, depth - 1))
+    if roll < 0.8:
+        return Power(rng.randint(2, 3), random_operator(rng, depth - 1))
+    first = random_operator(rng, depth - 1)
+    # every part must act on the same space as the first
+    parts = [first]
+    for _ in range(rng.randint(1, 2)):
+        other = random_shift(rng)
+        while other.space != operator_space(first):
+            other = random_shift(rng)
+        parts.append(other)
+    return DirectSum(tuple(parts))
+
+
+def random_entries(rng: random.Random, bilateral: bool) -> dict:
+    lo = -8 if bilateral else 0
+    entries = {}
+    for _ in range(rng.randint(0, 7)):
+        entries[rng.randint(lo, 8)] = random_fraction(rng)
+    return entries
+
+
+def as_dict(v: FiniteVector) -> dict:
+    return dict(v.items())
+
+
+def assert_canonical(v: FiniteVector) -> None:
+    assert v._den > 0
+    assert math.gcd(v._den, *v._num.values()) == 1
+    assert all(n != 0 for n in v._num.values())
+
+
+class TestDifferentialKernel:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_apply_walk_norms_and_balls_match_the_reference(self, seed):
+        rng = random.Random(9100 + seed)
+        scalar_kinds = [DyadicSqrtScalars(), ExplicitScalars(tuple(random_fraction(rng) for _ in range(8)))]
+        for _ in range(40):
+            op = random_operator(rng)
+            space = operator_space(op)
+            bilateral = space.laterality == BILATERAL
+            ref = random_entries(rng, bilateral)
+            x = FiniteVector(ref)
+            assert as_dict(x) == ref
+            center = random_entries(rng, bilateral)
+            ball = Ball(FiniteVector(center), random_fraction(rng, positive=True), space)
+            mode = rng.choice(["exact", "float"])
+            scalars = rng.choice(scalar_kinds)
+            times = range(7)
+            refs = [ref]
+            for _ in times[1:]:
+                refs.append(ref_apply(op, refs[-1]))
+            plain = list(walk(Iterates(op), x, times))
+            scaled = list(walk(ScaledIterates(scalars, op), x, times, mode))
+            for t in times:
+                v, want = plain[t], refs[t]
+                assert_canonical(v)
+                assert as_dict(v) == want
+                assert v == FiniteVector(want) and hash(v) == hash(FiniteVector(want))
+                if t:
+                    assert apply(op, plain[t - 1]) == v
+                lam = scalars.value(t) if mode == "exact" else Fraction(scalars.value_float(t))
+                scaled_ref = {n: c * lam for n, c in want.items()}
+                assert_canonical(scaled[t])
+                assert as_dict(scaled[t]) == scaled_ref
+                assert (v.l1(), v.l2_squared(), v.sup()) == tuple(ref_norm(want, p) for p in (1, 2, INF))
+                tol = FLOAT_MEMBERSHIP_TOL if mode == "float" else None
+                radius = ball.radius * (1 - tol) if tol else ball.radius
+                gap = ref_norm(ref_sub(scaled_ref, center), space.p)
+                assert in_ball(scaled[t], ball, tol) == (gap < (radius**2 if space.p == 2 else radius))
+                diff = scaled[t] - ball.center
+                assert_canonical(diff)
+                assert as_dict(diff) == ref_sub(scaled_ref, center)
+
+    def test_one_value_by_two_routes_compares_and_hashes_equal(self):
+        rng = random.Random(9200)
+        for _ in range(60):
+            shift = random_shift(rng)
+            back = BackwardShift(shift.weights, shift.space)
+            forward = ForwardShift(shift.weights, shift.space)
+            x = FiniteVector(random_entries(rng, shift.space.laterality == BILATERAL))
+            # the forward shift is a right inverse of the backward one on either side
+            there_and_back = apply(back, apply(forward, x))
+            assert there_and_back == x
+            assert hash(there_and_back) == hash(x)
+            assert there_and_back.items() == x.items()
+            # a common factor brought in by one scalar and taken out by another
+            k = random_fraction(rng)
+            assert x.scale(k).scale(1 / k) == x
+            assert hash(x.scale(k).scale(1 / k)) == hash(x)
+            assert (x.scale(k) == x) == (x.is_zero or k == 1)

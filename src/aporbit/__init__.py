@@ -22,13 +22,9 @@ from .families import (
     ColoringResult,
     DensityEstimate,
     HitSet,
-    StepVerdict,
-    ap_bar_estimate,
     coloring_avoids_progressions,
-    count_aps_with_step,
     density_report,
     find_ap,
-    find_homogeneous_ap,
     longest_ap,
     szemeredi_r,
     szemeredi_r_naive,
@@ -48,13 +44,10 @@ from .gowers import (
 )
 from .recurrence import (
     CriterionReport,
-    DecayProbe,
-    DecayReport,
     NestedRefinement,
     NestedStage,
     PairWitness,
     RecurrenceWitness,
-    homogeneous_ap_union,
     inverse_witness,
     joint_return_count,
     lift_vector,
@@ -64,7 +57,6 @@ from .recurrence import (
     nested_ball_refinement,
     pair_recurrence_search,
     return_set,
-    sequence_decay_check,
     shift_ap_criterion,
     universal_vector,
     verify_return_times,
@@ -97,8 +89,6 @@ from .spaces import (
     in_ball,
     invert,
     iterate,
-    norm_le,
-    norm_lt,
     operator_space,
     orbit,
     walk,

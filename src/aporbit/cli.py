@@ -3,8 +3,9 @@
 Exit-code discipline (`main`, `_report_error`): 0 only for a report whose
 `verified` is true, 1 for an exhausted (inconclusive) search or a result
 that failed re-verification, 2 for invalid input, which includes a usage
-error and a float past the range of a double.  Reports echo the effective
-config verbatim so that re-running with `--config` on that echo
+error and a float past the range of a double, and 3 for an internal error
+(any other exception, whose traceback goes to stderr).  Reports echo the
+effective config verbatim so that re-running with `--config` on that echo
 reproduces the report byte-for-byte in exact mode.
 
 One convention boundary lives here and only here: the core recurrence
@@ -22,6 +23,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 
 from .errors import (
     BudgetExceededError,
@@ -77,6 +79,7 @@ from .spaces import (
 OK = 0
 EXHAUSTED = 1
 INVALID = 2
+INTERNAL = 3
 BROKEN_PIPE = 141  # what shells report for a process killed by SIGPIPE (128 + 13)
 
 _INCONCLUSIVE_NOTE = (
@@ -725,17 +728,30 @@ def _new_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _malformed(path, prefix):
+    """Turn malformed input text met in the block into a SchemaError at path.
+
+    ValueError is the base of json.JSONDecodeError, of UnicodeDecodeError
+    and of the error for an integer past Python's digit limit.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(path, f"{prefix}: {exc}")
+
+
 def _load_config(path):
     """The JSON object in the config file at path; {} when there is none."""
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _malformed(
+            "$", "config file is not valid JSON"
+        ):
             loaded = json.load(fh)
     except OSError as exc:
         raise SchemaError("$", f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"config file is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
         raise SchemaError("$", "config file must hold a JSON object")
     return loaded
@@ -749,30 +765,22 @@ def _merge_config(args, name):
             continue
         opener = _JSON_OPENER.get(kind)
         if kind == _JSON or (opener and value.lstrip().startswith(opener)):
-            try:
+            with _malformed(f"$.{key}", "flag is not valid JSON"):
                 value = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"$.{key}", f"flag is not valid JSON: {exc}")
         config[key] = value
     return config
 
 
 def _read_stdin_set():
-    text = sys.stdin.read()
-    stripped = text.strip()
+    with _malformed("$.set", "stdin is not text"):
+        stripped = sys.stdin.read().strip()
     if not stripped:
         raise SchemaError("$.set", "no set given (stdin empty, no config)")
     if stripped.startswith("["):
-        try:
-            values = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$.set", f"stdin is not a JSON array: {exc}")
-    else:
-        try:
-            values = [int(tok) for tok in stripped.split()]
-        except ValueError as exc:
-            raise SchemaError("$.set", f"stdin must hold integers: {exc}")
-    return values
+        with _malformed("$.set", "stdin is not a JSON array"):
+            return json.loads(stripped)
+    with _malformed("$.set", "stdin must hold integers"):
+        return [int(tok) for tok in stripped.split()]
 
 
 def _emit(report, output, header, rows, out):
@@ -785,14 +793,30 @@ def _emit(report, output, header, rows, out):
         writer.writerows(rows)
 
 
+# the exceptions that report invalid input (exit 2)
+_INPUT_ERRORS = (
+    SchemaError,
+    InvalidArgumentError,
+    PreconditionError,
+    ModeMismatchError,
+    DomainError,
+    BudgetExceededError,
+    OverflowError,
+)
+
+
 def _report_error(exc, name, mode, out):
     """Write the report of a run that stopped on an exception; return its exit code.
 
     A growth-profile bracket that fails to re-verify is inconclusive (exit
-    1); any other error is invalid input (exit 2) and is repeated on stderr.
+    1); an input error is exit 2 and any other exception an internal error,
+    exit 3, with its traceback.  Both are repeated on stderr.
     """
     message = str(exc)
-    if isinstance(exc, OverflowError):
+    internal = not isinstance(exc, (*_INPUT_ERRORS, MonotonicityError))
+    if internal:
+        message = f"internal error: {type(exc).__name__}: {exc}"
+    elif isinstance(exc, OverflowError):
         message = f"a number left the range of a double (about 1.8e308): {exc}"
     report = {
         "command": name,
@@ -807,8 +831,11 @@ def _report_error(exc, name, mode, out):
     _emit(report, "json", None, None, out)
     if inconclusive:
         return EXHAUSTED
+    if internal:
+        # the interpreter's own printer: importing `traceback` would slow every start-up
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
     print(f"error: {message}", file=sys.stderr)
-    return INVALID
+    return INTERNAL if internal else INVALID
 
 
 def main(argv=None) -> int:
@@ -826,10 +853,8 @@ def main(argv=None) -> int:
     name = args.subcommand
     try:
         if name == "sweep":
-            try:
+            with _malformed("$.grid", "not valid JSON"):
                 grid = json.loads(args.grid)
-            except json.JSONDecodeError as exc:
-                raise SchemaError("$.grid", f"not valid JSON: {exc}")
             base = _load_config(args.config)
             limit_cfg = {} if args.limit is None else {"limit": args.limit}
             result = run_sweep(args.command, base, grid, limit_cfg, args.mode)
@@ -839,16 +864,7 @@ def main(argv=None) -> int:
             if name == "analyze-set" and "set" not in config:
                 config["set"] = _read_stdin_set()
             result = RUNNERS[name](config, args.mode)
-    except (
-        SchemaError,
-        InvalidArgumentError,
-        PreconditionError,
-        ModeMismatchError,
-        DomainError,
-        BudgetExceededError,
-        OverflowError,
-        MonotonicityError,
-    ) as exc:
+    except Exception as exc:
         return _report_error(exc, name, args.mode, out)
     report = {"command": name, "mode": args.mode, "config": config, **result.payload}
     _emit(report, args.output, result.csv_header, result.csv_rows, out)

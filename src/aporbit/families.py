@@ -177,68 +177,6 @@ def find_ap(hits: HitSet, length: int) -> APWitness | None:
     return None
 
 
-def find_homogeneous_ap(hits: HitSet, length: int) -> APWitness | None:
-    """Smallest q with {q, 2q, ..., length*q} contained in the set."""
-    if length < 1:
-        raise InvalidArgumentError("length must be >= 1")
-    elems = hits.elements
-    if not elems:
-        return None
-    for q in range(1, elems[-1] // length + 1):
-        if all(j * q in hits for j in range(1, length + 1)):
-            return APWitness(q, q, length)
-    return None
-
-
-def count_aps_with_step(hits: HitSet, step: int, length: int) -> int:
-    """Number of initial terms whose progression stays inside the set."""
-    if step < 1:
-        raise InvalidArgumentError("step must be positive")
-    if length < 1:
-        raise InvalidArgumentError("length must be >= 1")
-    count = 0
-    for a in hits.elements:
-        if all(a + j * step in hits for j in range(1, length)):
-            count += 1
-    return count
-
-
-@dataclass(frozen=True)
-class StepVerdict:
-    """Smallest qualifying step, or None when the bounded scan found none.
-
-    A None step is inconclusive: only steps up to the horizon were tried,
-    so a fail verdict never refutes membership in the underlying family.
-    """
-
-    step: int | None
-    count: int
-    threshold: int
-    length: int
-
-    @property
-    def passed(self) -> bool:
-        return self.step is not None
-
-
-def ap_bar_estimate(hits: HitSet, length: int, threshold: int) -> StepVerdict:
-    """Scan steps 1..horizon for one carrying >= threshold progressions."""
-    if length < 1:
-        raise InvalidArgumentError("length must be >= 1")
-    if threshold < 1:
-        raise InvalidArgumentError("threshold must be >= 1")
-    if length == 1:
-        # every step carries exactly |set| progressions
-        if len(hits) >= threshold:
-            return StepVerdict(1, len(hits), threshold, length)
-        return StepVerdict(None, 0, threshold, length)
-    for step in range(1, hits.horizon + 1):
-        c = count_aps_with_step(hits, step, length)
-        if c >= threshold:
-            return StepVerdict(step, c, threshold, length)
-    return StepVerdict(None, 0, threshold, length)
-
-
 @dataclass(frozen=True)
 class DensityEstimate:
     """Finite-horizon density proxies.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, PreconditionError, StageFailureError, WorkbenchError
-from .families import HitSet, find_homogeneous_ap
+from .families import HitSet
 from .spaces import (
     FLOAT_MEMBERSHIP_TOL,
     UNILATERAL,
@@ -260,109 +260,6 @@ def multirec_witness(
             checks = verify_return_times(seq, x, ball, times, mode)
             return RecurrenceWitness(q, x, m, checks, gaps)
     return None
-
-
-def homogeneous_ap_union(q_list) -> HitSet:
-    """Union of the homogeneous progressions {q_m, 2q_m, ..., m*q_m}.
-
-    With steps q_1..q_M this always contains the length-M progression of
-    step q_M, so the result feeds directly into homogeneous-AP probes.
-    """
-    steps = list(q_list)
-    if not steps:
-        raise InvalidArgumentError("need at least one step")
-    if any(q < 1 for q in steps):
-        raise InvalidArgumentError("steps must be positive")
-    out: set[int] = set()
-    for m, q in enumerate(steps, start=1):
-        out.update(l * q for l in range(1, m + 1))
-    return HitSet.from_iterable(out)
-
-
-# ---------------------------------------------------------------------------
-# Basis-decay evidence along a candidate return sequence
-
-
-@dataclass(frozen=True)
-class DecayProbe:
-    """Per-basis-vector norms along the candidate sequence."""
-
-    index: int
-    backward_norms: tuple[Fraction, ...]
-    lift_norms: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Finite decay evidence: shrinking lift norms + homogeneous structure.
-
-    The verdict aggregates the *tail* of the sequence (its second half):
-    passed means every tail lift norm sits strictly below epsilon.  The
-    backward norms of basis probes vanish outright once the step exceeds
-    the probe index, so the lift norms carry all the content.
-    """
-
-    steps: tuple[int, ...]
-    probes: tuple[DecayProbe, ...]
-    tail_start: int
-    max_tail_lift: Fraction
-    epsilon: Fraction
-    passed: bool
-    homogeneous: tuple[tuple[int, int | None], ...]
-
-
-def sequence_decay_check(
-    weights: WeightSpec,
-    space: SpaceSpec,
-    seq: HitSet,
-    probe_indices,
-    epsilon: Fraction = Fraction(1, 100),
-    ap_lengths=(1, 2, 3, 4, 5, 6, 7),
-) -> DecayReport:
-    """Evaluate backward/lift norms of basis probes along a step sequence.
-
-    For probe e_i and step n the backward norm is a_(i-n)/a_i (zero once
-    n > i on the unilateral side) and the lift norm is a_(i+n)/a_i; both
-    are single-coefficient vectors, so the value is the same for every
-    l_p norm.  Homogeneous-AP evidence on the sequence is attached for
-    each requested length.
-    """
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise InvalidArgumentError("epsilon must be positive")
-    steps = tuple(seq)
-    if not steps:
-        raise InvalidArgumentError("sequence must be non-empty")
-    probes = []
-    for i in probe_indices:
-        if i < 0:
-            raise InvalidArgumentError("probe indices must be non-negative")
-        a_i = weights.lift_factor(0, i)
-        back = tuple(
-            weights.lift_factor(0, i - n) / a_i if n <= i else Fraction(0)
-            for n in steps
-        )
-        lift = tuple(weights.lift_factor(0, i + n) / a_i for n in steps)
-        probes.append(DecayProbe(i, back, lift))
-    if not probes:
-        raise InvalidArgumentError("need at least one probe index")
-    tail_start = len(steps) // 2
-    max_tail = max(
-        (p.lift_norms[t] for p in probes for t in range(tail_start, len(steps))),
-    )
-    hom = []
-    for length in ap_lengths:
-        w = find_homogeneous_ap(seq, length)
-        hom.append((length, None if w is None else w.step))
-    return DecayReport(
-        steps=steps,
-        probes=tuple(probes),
-        tail_start=tail_start,
-        max_tail_lift=max_tail,
-        epsilon=eps,
-        passed=max_tail < eps,
-        homogeneous=tuple(hom),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -221,16 +221,6 @@ def _norm_cmp(nums, den: int, bound: Fraction, p) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def norm_lt(x: FiniteVector, bound: Fraction, p) -> bool:
-    """Exact test of ||x||_p < bound."""
-    return bound > 0 and _norm_cmp(x._num.values(), x._den, bound, p) < 0
-
-
-def norm_le(x: FiniteVector, bound: Fraction, p) -> bool:
-    """Exact test of ||x||_p <= bound."""
-    return bound >= 0 and _norm_cmp(x._num.values(), x._den, bound, p) <= 0
-
-
 def _check_laterality(x: FiniteVector, space: SpaceSpec, role: str) -> None:
     if space.laterality == UNILATERAL:
         m = x.min_support()
@@ -279,10 +269,6 @@ class WeightSpec:
     def weight(self, n: int) -> Fraction:
         raise NotImplementedError
 
-    def sup_bound(self) -> Fraction:
-        """Declared upper bound for the weights (shift continuity)."""
-        raise NotImplementedError
-
     def lift_factor(self, start: int, steps: int) -> Fraction:
         """prod_{l=start+1..start+steps} 1/w_l; from start 0, the size of the basis lift."""
         if steps < 0:
@@ -305,9 +291,6 @@ class ConstantWeights(WeightSpec):
     def weight(self, n: int) -> Fraction:
         return self.value
 
-    def sup_bound(self) -> Fraction:
-        return self.value
-
     def lift_factor(self, start: int, steps: int) -> Fraction:
         if steps < 0:
             raise InvalidArgumentError("steps must be non-negative")
@@ -317,9 +300,6 @@ class ConstantWeights(WeightSpec):
 @dataclass(frozen=True)
 class UnitWeights(WeightSpec):
     def weight(self, n: int) -> Fraction:
-        return Fraction(1)
-
-    def sup_bound(self) -> Fraction:
         return Fraction(1)
 
     def lift_factor(self, start: int, steps: int) -> Fraction:
@@ -346,9 +326,6 @@ class ExplicitWeights(WeightSpec):
                 f"weight index {n} outside the accessible range 1..{len(self.values)}"
             )
         return self.values[n - 1]
-
-    def sup_bound(self) -> Fraction:
-        return max(self.values)
 
 
 #: valley levels held in the profile table.  Levels 13 and deeper raise the
@@ -439,9 +416,6 @@ class ValleyWeights(WeightSpec):
 
     def weight(self, n: int) -> Fraction:
         return _VALLEY_WEIGHTS[self.profile(n) - self.profile(n - 1)]
-
-    def sup_bound(self) -> Fraction:
-        return Fraction(2)
 
     def lift_factor(self, start: int, steps: int) -> Fraction:
         # the weight products telescope to a ratio of basis sizes

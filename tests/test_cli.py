@@ -565,6 +565,68 @@ class TestConfig:
         assert set(report) == {"command", "mode", "verdict", "verified", "error"}
         assert report["verdict"] == "error"
 
+    # a JSON integer past Python's 4300-digit limit for int() of text
+    PAST_DIGIT_LIMIT = "[" + "1" * 5000 + "]"
+
+    @pytest.mark.parametrize(
+        "argv, stdin, prefix",
+        [
+            (["analyze-set", "--set", PAST_DIGIT_LIMIT], None, "$.set: flag is not valid JSON: "),
+            (["sweep", "--command", "vdw", "--grid", '{"n": ' + PAST_DIGIT_LIMIT + "}"], None,
+             "$.grid: not valid JSON: "),
+            (["analyze-set"], PAST_DIGIT_LIMIT, "$.set: stdin is not a JSON array: "),
+        ],
+        ids=["flag", "grid", "stdin"],
+    )
+    def test_past_the_digit_limit_is_an_input_error(self, capsys, argv, stdin, prefix):
+        code, out, err = run_cli(capsys, argv, stdin=stdin)
+        report = json.loads(out)
+        assert code == 2
+        assert set(report) == {"command", "mode", "verdict", "verified", "error"}
+        assert report["error"].startswith(prefix) and "4300" in report["error"]
+        assert err == f"error: {report['error']}\n"
+
+    @pytest.mark.parametrize(
+        "content, words",
+        [
+            (b'{"set": ' + PAST_DIGIT_LIMIT.encode() + b"}", "4300"),
+            (b'\xff\xfe{"set": [1]}', "utf-8"),
+        ],
+        ids=["digit-limit", "not-utf-8"],
+    )
+    def test_malformed_config_file_is_an_input_error(self, capsys, tmp_path, content, words):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_bytes(content)
+        code, report = run_json(capsys, ["analyze-set", "--config", str(cfg_file)])
+        assert code == 2
+        assert report["error"].startswith("$: config file is not valid JSON: ")
+        assert words in report["error"]
+
+    def test_stdin_that_is_not_utf_8_is_an_input_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe 1 2"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, report = run_json(capsys, ["analyze-set"])
+        assert code == 2
+        assert report["error"].startswith("$.set: stdin is not text: ")
+
+    def test_crash_is_an_internal_error(self, capsys, monkeypatch):
+        def crash(config, mode):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setitem(cli.RUNNERS, "vdw", crash)
+        code, out, err = run_cli(capsys, ["vdw", "--n", "5"])
+        report = json.loads(out)
+        assert code == cli.INTERNAL == 3
+        assert report == {
+            "command": "vdw",
+            "mode": "exact",
+            "verdict": "error",
+            "verified": False,
+            "error": "internal error: RuntimeError: injected fault",
+        }
+        assert err.startswith("Traceback") and "in crash" in err
+        assert err.endswith(f"error: {report['error']}\n")
+
     def test_monotonicity_report(self, capsys, monkeypatch):
         def refuse(ls):
             raise MonotonicityError("growth profile is not increasing")

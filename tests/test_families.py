@@ -14,12 +14,9 @@ from aporbit.errors import BudgetExceededError, InvalidArgumentError
 from aporbit.families import (
     APWitness,
     HitSet,
-    ap_bar_estimate,
     coloring_avoids_progressions,
-    count_aps_with_step,
     density_report,
     find_ap,
-    find_homogeneous_ap,
     longest_ap,
     szemeredi_r,
     szemeredi_r_naive,
@@ -254,81 +251,6 @@ class TestVerifyWitness:
             APWitness(1, 1, 0)
         with pytest.raises(InvalidArgumentError):
             APWitness(-1, 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# homogeneous progressions q, 2q, ..., mq
-
-
-class TestHomogeneousAP:
-    def test_multiples_of_three(self):
-        w = find_homogeneous_ap(HitSet.from_iterable([3, 6, 9, 12]), 4)
-        assert (w.initial, w.step, w.length) == (3, 3, 4)
-
-    def test_no_homogeneous_run(self):
-        assert find_homogeneous_ap(HitSet.from_iterable([2, 4, 5, 8]), 3) is None
-
-    def test_prefers_smallest_step(self):
-        w = find_homogeneous_ap(HitSet.from_iterable([5, 10, 15]), 3)
-        assert (w.initial, w.step, w.length) == (5, 5, 3)
-
-    def test_homogeneous_is_also_plain_witness(self):
-        rng = random.Random(77)
-        for _ in range(30):
-            s = random_hitset(rng, 100)
-            for length in (2, 3, 4):
-                w = find_homogeneous_ap(s, length)
-                if w is not None:
-                    assert w.initial == w.step
-                    assert verify_witness(w, s)
-
-
-# ---------------------------------------------------------------------------
-# counting + threshold verdicts
-
-
-class TestCountAndBar:
-    def test_count_full_progression(self):
-        s = HitSet.from_iterable([2, 5, 8, 11, 14])
-        assert count_aps_with_step(s, 3, 3) == 3
-
-    def test_count_empty(self):
-        assert count_aps_with_step(HitSet.from_iterable([]), 1, 1) == 0
-
-    def test_count_dense_interval(self):
-        s = HitSet.from_iterable(range(0, 11))
-        assert count_aps_with_step(s, 2, 3) == 7  # initials 0..6
-
-    def test_bar_estimate_even_numbers(self):
-        evens = HitSet.from_iterable(range(0, 101, 2))
-        verdict = ap_bar_estimate(evens, length=3, threshold=10)
-        assert verdict.passed
-        assert verdict.step == 2
-        assert verdict.count == count_aps_with_step(evens, 2, 3)
-        assert verdict.count >= 10
-
-    def test_bar_estimate_fails_on_singleton(self):
-        verdict = ap_bar_estimate(HitSet.from_iterable([1]), length=2, threshold=1)
-        assert not verdict.passed
-        assert verdict.step is None
-
-    def test_bar_estimate_dense_interval(self):
-        s = HitSet.from_iterable(range(0, 21))
-        verdict = ap_bar_estimate(s, length=2, threshold=5)
-        assert verdict.passed and verdict.step == 1
-
-    def test_count_matches_enumeration(self):
-        rng = random.Random(31337)
-        for _ in range(30):
-            s = random_hitset(rng, 90)
-            step = rng.randint(1, 10)
-            length = rng.randint(1, 4)
-            brute = sum(
-                1
-                for a in range(0, s.horizon + 1)
-                if all(a + i * step in s for i in range(length))
-            )
-            assert count_aps_with_step(s, step, length) == brute
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,9 @@ from aporbit.errors import (
     PreconditionError,
     StageFailureError,
 )
-from aporbit.families import HitSet, find_homogeneous_ap
 from aporbit import spaces
 from aporbit.recurrence import (
     _tolerance,
-    homogeneous_ap_union,
     inverse_witness,
     joint_return_count,
     lift_vector,
@@ -25,7 +23,6 @@ from aporbit.recurrence import (
     nested_ball_refinement,
     pair_recurrence_search,
     return_set,
-    sequence_decay_check,
     shift_ap_criterion,
     universal_vector,
     verify_return_times,
@@ -302,82 +299,6 @@ class TestMultirec:
             multirec_witness(W2, L1, Ball(e(0), Fraction(1), L1), m=-1, q_max=10)
         with pytest.raises(InvalidArgumentError):
             multirec_witness(W2, L1, Ball(e(0), Fraction(1), L1), m=1, q_max=0)
-
-
-# ---------------------------------------------------------------------------
-# homogeneous unions
-
-
-class TestHomogeneousUnion:
-    def test_three_steps(self):
-        s = homogeneous_ap_union([5, 7, 9])
-        assert set(s) == {5, 7, 14, 9, 18, 27}
-
-    def test_single_step(self):
-        assert list(homogeneous_ap_union([4])) == [4]
-
-    def test_union_carries_homogeneous_evidence(self):
-        s = homogeneous_ap_union([3, 4, 5])
-        w = find_homogeneous_ap(s, 3)
-        assert w is not None and w.step == 5
-
-    def test_positive_steps_required(self):
-        with pytest.raises(InvalidArgumentError):
-            homogeneous_ap_union([3, 0])
-
-
-# ---------------------------------------------------------------------------
-# decay evidence along a candidate sequence
-
-
-class TestDecayCheck:
-    def test_doubling_weights_pass(self):
-        seq = HitSet.from_iterable(range(1, 51))
-        rep = sequence_decay_check(W2, L1, seq, probe_indices=(0, 1))
-        assert rep.passed
-        # lift norms are exactly 2^-n, independent of the probe
-        for probe in rep.probes:
-            assert probe.lift_norms == tuple(Fraction(1, 2**n) for n in range(1, 51))
-            assert all(a > b for a, b in zip(probe.lift_norms, probe.lift_norms[1:]))
-        # plenty of homogeneous structure inside 1..50
-        assert all(step is not None for _, step in rep.homogeneous)
-
-    def test_backward_norms_vanish_past_probe(self):
-        seq = HitSet.from_iterable([1, 2, 3, 4, 5])
-        rep = sequence_decay_check(W2, L1, seq, probe_indices=(3,))
-        probe = rep.probes[0]
-        # a_(3-n)/a_3 = 2^n while n <= 3, then the unilateral side cuts off
-        assert probe.backward_norms == (
-            Fraction(2),
-            Fraction(4),
-            Fraction(8),
-            Fraction(0),
-            Fraction(0),
-        )
-
-    def test_unit_weights_fail(self):
-        rep = sequence_decay_check(UnitWeights(), L1, HitSet.from_iterable([907]), (0,))
-        assert not rep.passed
-        assert rep.max_tail_lift == 1
-
-    def test_valley_blocks(self):
-        steps = homogeneous_ap_union([24, 120, 720])
-        rep = sequence_decay_check(
-            ValleyWeights(3), L1, steps, probe_indices=(0,), epsilon=Fraction(1, 4)
-        )
-        probe = rep.probes[0]
-        expected = {24: Fraction(1, 2), 120: Fraction(1, 4), 240: Fraction(1, 4)}
-        for step, lift in zip(rep.steps, probe.lift_norms):
-            assert lift == expected.get(step, Fraction(1, 8))
-        assert rep.tail_start == 3
-        assert rep.max_tail_lift == Fraction(1, 8)
-        assert rep.passed
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            sequence_decay_check(W2, L1, HitSet.from_iterable([]), (0,))
-        with pytest.raises(InvalidArgumentError):
-            sequence_decay_check(W2, L1, HitSet.from_iterable([1]), (-1,))
 
 
 # ---------------------------------------------------------------------------

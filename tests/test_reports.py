@@ -3,8 +3,9 @@
 Each case pins one report byte for byte, so a change that alters any
 report, down to a key order or a trailing newline, fails here.  The cases
 cover every subcommand, the four exhausted-search payloads (in JSON and
-CSV), float mode, a schema error and a flag that is not JSON.  After an
-intended report change, re-pin a case with `report_digest`.
+CSV), float mode, a schema error, a flag that is not JSON and one past
+Python's digit limit.  After an intended report change, re-pin a case
+with `report_digest`.
 """
 
 import hashlib
@@ -180,6 +181,13 @@ CASES = {
         ["multirec", "--weights", CONST2, "--ball", "{bad", "--m", "1"],
         2,
         "5242e4dd133f5e836b7714822f7962056aeb1e00154097b17adb921dc8d3fa8f",
+    ),
+    # an integer past Python's 4300-digit limit for int() of text; the
+    # report quotes the interpreter's message
+    "flag-past-digit-limit": (
+        ["analyze-set", "--set", "[" + "1" * 5000 + "]"],
+        2,
+        "100bd597013f9a941602c5f180ec35969ae6ec2a157c36645c09e5d81e74b0ff",
     ),
     "schema-error": (
         ["multirec", "--weights", CONST2, "--p", "3",

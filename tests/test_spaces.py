@@ -35,8 +35,6 @@ from aporbit.spaces import (
     in_ball,
     invert,
     iterate,
-    norm_le,
-    norm_lt,
     operator_space,
     orbit,
     walk,
@@ -112,18 +110,6 @@ class TestFiniteVector:
 
 
 class TestNormComparisons:
-    def test_l2_uses_squared_comparison(self):
-        # ||(3/5)e0||_2 = 3/5 exactly: strict comparison at the boundary fails
-        v = e(0, Fraction(3, 5))
-        assert not norm_lt(v, Fraction(3, 5), 2)
-        assert norm_le(v, Fraction(3, 5), 2)
-        assert norm_lt(v, Fraction(3, 5) + Fraction(1, 10**12), 2)
-
-    def test_nonpositive_bounds(self):
-        assert not norm_lt(ZERO, Fraction(0), 1)
-        assert norm_le(ZERO, Fraction(0), 1)
-        assert not norm_le(e(0), Fraction(-1), INF)
-
     def test_triangle_inequality(self):
         rng = random.Random(52)
         for _ in range(60):
@@ -162,6 +148,10 @@ class TestBall:
         x = e(0, Fraction(1, 4))
         assert not in_ball(x, Ball(ZERO, Fraction(1, 4), L1))
         assert in_ball(x, Ball(ZERO, Fraction(1, 4) + Fraction(1, 10**9), L1))
+        # ||(3/5)e0||_2 = 3/5 exactly: the squared comparison keeps the boundary out
+        v = e(0, Fraction(3, 5))
+        assert not in_ball(v, Ball(ZERO, Fraction(3, 5), L2))
+        assert in_ball(v, Ball(ZERO, Fraction(3, 5) + Fraction(1, 10**12), L2))
 
     def test_tolerance_shrinks_the_ball(self):
         # a point just inside the exact ball fails the guarded test
@@ -178,7 +168,8 @@ class TestBall:
 
 class TestWeights:
     def test_constant_product(self):
-        assert ConstantWeights(Fraction(2)).lift_factor(0, 5) == Fraction(1, 32)
+        w = ConstantWeights(Fraction(2))
+        assert [w.lift_factor(0, n) for n in range(1, 51)] == [Fraction(1, 2**n) for n in range(1, 51)]
 
     def test_unit_product_large_index(self):
         assert UnitWeights().lift_factor(0, 10**4) == 1
@@ -238,9 +229,8 @@ class TestValleyWeights:
         seen = {w.weight(n) for n in range(1, 400)}
         assert seen == {Fraction(1, 2), Fraction(1), Fraction(2)}
 
-    def test_sup_bound(self):
+    def test_weights_at_most_two(self):
         w = ValleyWeights(3)
-        assert w.sup_bound() == 2
         assert max(w.weight(n) for n in range(1, 3000)) <= 2
 
     def test_telescoping_product(self):
@@ -290,6 +280,10 @@ class TestValleyWeights:
             for l in range(start + 1, start + steps + 1):
                 brute /= w.weight(l)
             assert w.lift_factor(start, steps) == brute
+        # the lift from e_0 falls to 2^-m on the level-m blocks
+        w = ValleyWeights(3)
+        lifts = [w.lift_factor(0, n) for n in (24, 120, 240, 720)]
+        assert lifts == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 8)]
 
 
 # ---------------------------------------------------------------------------

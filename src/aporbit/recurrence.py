@@ -3,12 +3,19 @@
 Every return time is checked on one lazy walk along the orbit of x
 (`spaces.walk`): the operator is applied step by step from x, ascending times
 share the walk, and the scalar lambda_t is applied afresh at each time t.
-A search stops a candidate at its first miss, so a candidate that already
-misses the ball at time 0 costs no application of the operator.  A
-returned witness has each membership re-verified exactly, by a fresh walk
-from x in `verify_return_times` that trusts nothing of the candidate
-algebra that built x, while a `None` / raised stage failure is
-*inconclusive* — it never refutes the corresponding unbounded statement.
+
+The lift-sum searches decide candidates by linearity.  With q beyond the
+span of y, the layers of x = y + L_q y + ... + L_mq y sit on disjoint
+supports and B^(iq) L_(jq) y = L_((j-i)q) y, so on the unilateral side
+(where B^(sq) y = 0) each B^(iq) x - y is a sub-sum of x - y: a candidate
+in the ball at time 0 is in it at every later return.  A search therefore
+rejects a step q from the norm of x - y, computed from y's coefficients and
+the lift factors without building x, and builds and walks only the step
+that passes.  That one walk from x is the witness's certificate: it decides
+every membership and gives the distances, and it trusts nothing of the
+closed form (on the bilateral side it can still miss, and the search goes
+on).  A `None` / raised stage failure is *inconclusive* — it never refutes
+the corresponding unbounded statement.
 
 Distances are reported as exact rationals; in the l2 case the squared
 distance is reported so no irrational square root is ever taken.
@@ -21,9 +28,11 @@ from .errors import InvalidArgumentError, PreconditionError, StageFailureError, 
 from .families import HitSet
 from .spaces import (
     FLOAT_MEMBERSHIP_TOL,
+    INF,
     UNILATERAL,
     BackwardShift,
     Ball,
+    ExplicitWeights,
     FiniteVector,
     Iterates,
     MapSequence,
@@ -33,6 +42,7 @@ from .spaces import (
     SpaceSpec,
     UnitWeights,
     WeightSpec,
+    below_radius,
     in_ball,
     invert,
     norm_key,
@@ -167,13 +177,17 @@ def shift_ap_criterion(
     grid: dict[tuple[int, int], int | None] = {}
     for p in range(p_max + 1):
         for m in range(1, m_max + 1):
+            # a q that certifies (p, m) certifies (p - 1, m) and (p, m - 1),
+            # so the scan starts where the larger of those stopped
+            smaller = [grid[c] for c in ((p - 1, m), (p, m - 1)) if c in grid]
             found = None
-            for q in range(1, q_max + 1):
-                if all(
-                    small(j * q + off) for j in range(1, m + 1) for off in range(p + 1)
-                ):
-                    found = q
-                    break
+            if None not in smaller:
+                for q in range(max(smaller, default=1), q_max + 1):
+                    if all(
+                        small(j * q + off) for j in range(1, m + 1) for off in range(p + 1)
+                    ):
+                        found = q
+                        break
             grid[(p, m)] = found
     return CriterionReport(grid, eps, (p_max, m_max, q_max))
 
@@ -209,6 +223,37 @@ def multirec_candidate(
     return x
 
 
+def _lift_sum_test(weights: WeightSpec, ball: Ball, m: int, tol: Fraction | None):
+    """The test q -> whether multirec_candidate(weights, ball.center, q, m) lies in the ball.
+
+    Only for q beyond the span of the center, where the layers L_(jq) y sit
+    on disjoint supports, so ||x - y||_p adds up layer by layer from |y_n|
+    and the lift factors, with no vector built.  The factors are taken in
+    multirec_candidate's order, so a weight list that runs out raises at
+    the same index.
+    """
+    p = ball.space.p
+    sizes = [(n, abs(c), d) for n, c, d in ball.center.triples()]
+
+    def inside(q: int) -> bool:
+        # the norm as an unreduced ratio num/den: below_radius needs no reduction
+        num, den = 0, 1
+        for j in range(1, m + 1):
+            for n, c, d in sizes:
+                f = weights.lift_factor(n, j * q)
+                a, b = c * f.numerator, d * f.denominator
+                if p == 2:
+                    a, b = a * a, b * b
+                if p == INF:
+                    if a * den > num * b:
+                        num, den = a, b
+                else:
+                    num, den = num * b + a * den, den * b
+        return below_radius(num, den, ball, tol)
+
+    return inside
+
+
 @dataclass(frozen=True)
 class RecurrenceWitness:
     """A verified common step: iterate j*q keeps x in the target ball for j <= m."""
@@ -238,10 +283,13 @@ def multirec_witness(
 
     Candidates use steps beyond the center's support, so the backward
     shift strips the lifted layers one at a time and the final iterate
-    reproduces the center exactly.  Each candidate's walk stops at its
-    first miss; the walk that accepts the winner gives its distances, and
-    its memberships are re-verified on a fresh walk from x.  None is
-    inconclusive.
+    reproduces the center exactly.  A step q is rejected from the closed
+    form of ||x - y|| (see the module docstring); where the layers overlap
+    (a bilateral center whose span reaches q), x is built and tested as
+    is.  A step that passes is walked from x once, and that walk is the
+    certificate: it decides each membership and gives the distances.  A
+    miss there, possible only on the bilateral side, moves the search on.
+    None is inconclusive.
     """
     _check_mode(mode)
     if m < 0:
@@ -251,14 +299,17 @@ def multirec_witness(
     y = ball.center
     top = y.max_support()
     start = 1 if top is None else max(1, top + 1)
+    span = 0 if top is None else top - y.min_support()
     seq = Iterates(BackwardShift(weights, space))
+    lift_sum_inside = _lift_sum_test(weights, ball, m, _tolerance(mode))
     for q in range(start, q_max + 1):
+        if q > span and not lift_sum_inside(q):
+            continue
         x = multirec_candidate(weights, y, q, m)
-        times = [j * q for j in range(m + 1)]
-        gaps = _return_gaps(seq, x, ball, times, mode)
+        gaps = _return_gaps(seq, x, ball, [j * q for j in range(m + 1)], mode)
         if gaps is not None:
-            checks = verify_return_times(seq, x, ball, times, mode)
-            return RecurrenceWitness(q, x, m, checks, gaps)
+            # the walk decided every membership; it returns gaps only if all hold
+            return RecurrenceWitness(q, x, m, (True,) * len(gaps), gaps)
     return None
 
 
@@ -376,12 +427,17 @@ def pair_recurrence_search(
 ) -> PairWitness | None:
     """Search for one (a, q) moving two points of U along V1 and V2.
 
-    Candidates stack two lifts: an inner lift-sum toward each V_i center
-    (as in multirec_witness) and an outer a-step lift that parks the
-    whole packet beyond U's center.  Smallest (q, a) wins.  A candidate's
-    walks stop at its first miss, so a returned pair has had every
-    membership checked on full walks from x1 and x2.  None is
-    inconclusive.
+    Candidates stack two lifts: an inner lift-sum z_i toward each V_i
+    center (as in multirec_witness) and an outer a-step lift that parks
+    the whole packet beyond U's center: x_i = y_U + L_a z_i.  Smallest
+    (q, a) wins.  On the unilateral side a passes y_U's support, so
+    B^a x_i = z_i and the V_i returns depend on q alone: a step q whose z1
+    or z2 misses its ball at time 0 is skipped whole, decided from the
+    closed form of multirec_witness.  For the rest, the first a with both
+    x_i in U is walked in full from x1 and x2, and those walks are the
+    certificate.  On the bilateral side, and for explicit weights (whose
+    skipped lifts could run past the list and must raise as before),
+    every a is tried.  None is inconclusive.
     """
     _check_mode(mode)
     if m < 0:
@@ -398,7 +454,12 @@ def pair_recurrence_search(
         default=None,
     )
     q_start = 1 if q_top is None else max(1, q_top + 1)
+    linear = space.laterality == UNILATERAL and not isinstance(weights, ExplicitWeights)
+    z1_inside = _lift_sum_test(weights, V1, m, tol)
+    z2_inside = _lift_sum_test(weights, V2, m, tol)
     for q in range(q_start, q_max + 1):
+        if linear and not (z1_inside(q) and z2_inside(q)):
+            continue
         z1 = multirec_candidate(weights, V1.center, q, m)
         z2 = multirec_candidate(weights, V2.center, q, m)
         for a in range(a_start, a_max + 1):

@@ -210,17 +210,6 @@ def norm_key(x: FiniteVector, p) -> Fraction:
     return Fraction(*_norm_ratio(x._num.values(), x._den, p))
 
 
-def _norm_cmp(nums, den: int, bound: Fraction, p) -> int:
-    """The sign of ||nums/den||_p - bound, by integer cross-multiplication; bound >= 0."""
-    bound = Fraction(bound)
-    b, c = bound.numerator, bound.denominator
-    if p == 2:
-        b, c = b * b, c * c
-    n, d = _norm_ratio(nums, den, p)
-    lhs, rhs = n * c, b * d
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def _check_laterality(x: FiniteVector, space: SpaceSpec, role: str) -> None:
     if space.laterality == UNILATERAL:
         m = x.min_support()
@@ -245,22 +234,31 @@ class Ball:
         _check_laterality(self.center, self.space, "ball center")
 
 
-def in_ball(x: FiniteVector, ball: Ball, rel_tolerance: Fraction | None = None) -> bool:
-    """Strict membership ||x - center||_p < radius.
+def below_radius(n: int, d: int, ball: Ball, rel_tolerance: Fraction | None = None) -> bool:
+    """The open-ball rule for a distance n/d to the center (d > 0, squared when p = 2).
 
-    With rel_tolerance (float mode) the effective radius shrinks to
-    radius*(1 - rel_tolerance), so approximate coefficients never produce
-    a membership claim the exact boundary would reject.
+    Strict inequality against the radius.  With rel_tolerance (float mode)
+    the effective radius shrinks to radius*(1 - rel_tolerance), so
+    approximate coefficients never produce a membership claim the exact
+    boundary would reject; a radius shrunk to zero or below admits nothing.
     """
-    _check_laterality(x, ball.space, "vector")
     radius = ball.radius
     if rel_tolerance is not None:
         radius = radius * (1 - rel_tolerance)
     if radius <= 0:
         return False
+    b, c = radius.numerator, radius.denominator
+    if ball.space.p == 2:
+        b, c = b * b, c * c
+    return n * c < b * d
+
+
+def in_ball(x: FiniteVector, ball: Ball, rel_tolerance: Fraction | None = None) -> bool:
+    """Strict membership ||x - center||_p < radius, by the rule of `below_radius`."""
+    _check_laterality(x, ball.space, "vector")
     # x - center over the lcm of the two denominators; the comparison needs no reduction
     num, den = x._plus(ball.center, -1)
-    return _norm_cmp(num.values(), den, radius, ball.space.p) < 0
+    return below_radius(*_norm_ratio(num.values(), den, ball.space.p), ball, rel_tolerance)
 
 
 class WeightSpec:

@@ -10,8 +10,9 @@ from aporbit.errors import (
     ModeMismatchError,
     PreconditionError,
     StageFailureError,
+    WorkbenchError,
 )
-from aporbit import spaces
+from aporbit import recurrence, spaces
 from aporbit.recurrence import (
     _tolerance,
     inverse_witness,
@@ -38,6 +39,7 @@ from aporbit.spaces import (
     ConstantWeights,
     DyadicSqrtScalars,
     ExpSqrtScalars,
+    ExplicitWeights,
     FiniteVector,
     Iterates,
     OneScalars,
@@ -51,6 +53,7 @@ from aporbit.spaces import (
     apply,
     in_ball,
     iterate,
+    norm_key,
     walk,
 )
 
@@ -266,11 +269,12 @@ class TestMultirec:
         assert all(verify_return_times(seq, w.x, Ball(e(1), Fraction(1, 5), L1), times))
 
     def test_valley_search_walks_each_orbit_once(self, monkeypatch):
-        # ball 3e0 of radius 27/8 first admits q = 120 at m = 2; the
-        # candidates before it miss at time 0 and cost no application, and
-        # the winner takes two walks of 2q: the search, which also gives its
-        # distances, and its re-verification (checking each time from
-        # scratch took ~22 000)
+        # ball 3e0 of radius 27/8 first admits q = 120 at m = 2; the steps
+        # before it are rejected from the closed form and cost no
+        # application, and the winner takes one walk of 2q, which decides
+        # its memberships and gives its distances (a search and a
+        # re-verification walk took 480; checking each time from scratch
+        # took ~22 000)
         calls = []
         real_apply = spaces.apply
 
@@ -283,7 +287,7 @@ class TestMultirec:
         w = multirec_witness(ValleyWeights(2), L1, ball, m=2, q_max=130)
         assert w is not None and w.verified and w.q == 120
         assert w.distances == (Fraction(3, 2), Fraction(3, 4), Fraction(0))
-        assert len(calls) == 2 * 2 * w.q
+        assert len(calls) == 2 * w.q
 
     def test_deterministic(self):
         ball = Ball(e(0), Fraction(1, 4), L1)
@@ -432,6 +436,27 @@ class TestPairSearch:
         w = pair_recurrence_search(UnitWeights(), L1, U, U, U, m=1, a_max=15, q_max=15)
         assert w is None
 
+    def test_skipped_steps_cost_no_walk(self, monkeypatch):
+        # at q = 1, 2 and 3 the inner lift-sum toward V2 = ball(e0, 1/8) misses
+        # its ball, so no a can work there; the first a with both points in
+        # U = ball(e0, 1/64) at q = 4 is a = 7.  Only the winner is walked:
+        # a + m*q = 11 applications for each of x1 and x2 (walking every
+        # (q, a) with both points in U took 5,020)
+        calls = []
+        real_apply = spaces.apply
+
+        def counting_apply(op, x):
+            calls.append(op)
+            return real_apply(op, x)
+
+        monkeypatch.setattr(spaces, "apply", counting_apply)
+        U = Ball(e(0), Fraction(1, 64), L1)
+        V1 = Ball(ZERO, Fraction(1, 2), L1)
+        V2 = Ball(e(0), Fraction(1, 8), L1)
+        w = pair_recurrence_search(W2, L1, U, V1, V2, m=1, a_max=40, q_max=40)
+        assert (w.a, w.q) == (7, 4)
+        assert len(calls) == 2 * (w.a + w.m * w.q)
+
 
 # ---------------------------------------------------------------------------
 # nested refinement
@@ -579,3 +604,249 @@ class TestCoherence:
         w = multirec_witness(W2, L1, U, m=2, q_max=100)
         squared = Iterates(Power(2, doubling_shift()))
         assert all(verify_return_times(squared, w.x, U, [0, w.q]))
+
+
+# ---------------------------------------------------------------------------
+# differential checks: the searches against their step-by-step forms
+#
+# The oracles below are the searches as they were before they decided
+# candidates by linearity: every step's candidate is built and walked from x,
+# and a multirec winner is re-verified on a second walk.  The searches must
+# return the same witnesses, grids and errors on generated configs.
+
+
+def oracle_multirec(weights, space, ball, m, q_max, mode="exact"):
+    tol = _tolerance(mode)
+    y = ball.center
+    top = y.max_support()
+    start = 1 if top is None else max(1, top + 1)
+    seq = Iterates(BackwardShift(weights, space))
+    for q in range(start, q_max + 1):
+        x = multirec_candidate(weights, y, q, m)
+        times = [j * q for j in range(m + 1)]
+        hits = []
+        for v in walk(seq, x, times, mode):
+            if not in_ball(v, ball, tol):
+                break
+            hits.append(v)
+        else:
+            checks = verify_return_times(seq, x, ball, times, mode)
+            gaps = tuple(membership_gap(v, ball) for v in hits)
+            return q, x, checks, gaps
+    return None
+
+
+def oracle_pair(weights, space, U, V1, V2, m, a_max, q_max, mode="exact"):
+    tol = _tolerance(mode)
+    seq = Iterates(BackwardShift(weights, space))
+
+    def returns(x, ball, times):
+        return all(in_ball(v, ball, tol) for v in walk(seq, x, times, mode))
+
+    y_u = U.center
+    a_top = y_u.max_support()
+    a_start = 1 if a_top is None else max(1, a_top + 1)
+    tops = [c.max_support() for c in (V1.center, V2.center) if c.max_support() is not None]
+    q_start = max(1, max(tops) + 1) if tops else 1
+    for q in range(q_start, q_max + 1):
+        z1 = multirec_candidate(weights, V1.center, q, m)
+        z2 = multirec_candidate(weights, V2.center, q, m)
+        for a in range(a_start, a_max + 1):
+            x1 = y_u + lift_vector(weights, z1, a)
+            x2 = y_u + lift_vector(weights, z2, a)
+            times = [a + j * q for j in range(m + 1)]
+            if (
+                in_ball(x1, U, tol)
+                and in_ball(x2, U, tol)
+                and returns(x1, V1, times)
+                and returns(x2, V2, times)
+            ):
+                return x1, x2, a, q, m
+    return None
+
+
+def oracle_criterion(weights, epsilon, p_max, m_max, q_max):
+    sizes = {}
+
+    def small(n):
+        if n not in sizes:
+            sizes[n] = weights.lift_factor(0, n)
+        return sizes[n] <= epsilon
+
+    grid = {}
+    for p in range(p_max + 1):
+        for m in range(1, m_max + 1):
+            grid[(p, m)] = next(
+                (
+                    q
+                    for q in range(1, q_max + 1)
+                    if all(small(j * q + off) for j in range(1, m + 1) for off in range(p + 1))
+                ),
+                None,
+            )
+    return grid
+
+
+def outcome(search, *args):
+    """The search's result, or the type and message of the error it raised."""
+    try:
+        return search(*args)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+CONSTANTS = [Fraction(2), Fraction(3, 2), Fraction(5, 4), Fraction(4, 3), Fraction(1, 2)]
+
+
+def random_weights(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ConstantWeights(rng.choice(CONSTANTS))
+    if kind == 1:
+        return ValleyWeights(rng.randint(1, 3))
+    # short lists run out inside the search and raise
+    values = [rng.choice([Fraction(1, 2), 1, 2, 3, Fraction(3, 2)]) for _ in range(rng.randint(2, 40))]
+    return ExplicitWeights(tuple(values))
+
+
+def random_center(rng, laterality, spread):
+    lo = -spread if laterality == BILATERAL else 0
+    return FiniteVector(
+        {
+            rng.randint(lo, spread): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+            for _ in range(rng.randint(0, 3))
+        }
+    )
+
+
+def random_radius(rng, weights, y, p, m, q_max):
+    """A radius near a candidate's gap at time 0, on it, or drawn at random.
+
+    A gap on the radius is a strict miss; one a part in 10^12 inside it is a
+    hit in exact mode and a miss in float mode, where the radius shrinks.
+    """
+    pick = rng.randrange(4)
+    start = 1 if y.is_zero else max(1, y.max_support() + 1)
+    q = rng.randint(start, max(q_max, start))
+    try:
+        gap = norm_key(multirec_candidate(weights, y, q, m) - y, p)
+    except WorkbenchError:
+        gap = 0
+    # norm_key is the squared gap when p = 2, which is no radius
+    if pick < 2 and gap > 0 and p != 2:
+        return gap if pick == 0 else gap * (1 + Fraction(1, 10**12))
+    return Fraction(rng.randint(1, 40), rng.randint(1, 16))
+
+
+class TestAgainstStepByStep:
+    def test_multirec(self, monkeypatch):
+        late_misses = []
+        real_gaps = recurrence._return_gaps
+
+        def spy(seq, x, ball, times, mode):
+            gaps = real_gaps(seq, x, ball, times, mode)
+            if gaps is None and in_ball(x, ball, _tolerance(mode)):
+                late_misses.append(times)
+            return gaps
+
+        monkeypatch.setattr(recurrence, "_return_gaps", spy)
+        rng = random.Random(1404)
+        fallbacks = errors = found = 0
+        for _ in range(400):
+            weights = random_weights(rng)
+            laterality = rng.choice([UNILATERAL, BILATERAL])
+            p = rng.choice([1, 2, INF])
+            space = SpaceSpec(p, laterality)
+            m = rng.randint(0, 3)
+            mode = rng.choice(["exact", "float"])
+            q_max = rng.choice([8, 30, 130]) if isinstance(weights, ValleyWeights) else rng.randint(1, 30)
+            y = random_center(rng, laterality, 6)
+            ball = Ball(y, random_radius(rng, weights, y, p, m, q_max), space)
+            want = outcome(oracle_multirec, weights, space, ball, m, q_max, mode)
+            got = outcome(multirec_witness, weights, space, ball, m, q_max, mode)
+            if isinstance(got, tuple):
+                errors += 1
+                assert got == want
+                continue
+            if got is None:
+                assert want is None
+            else:
+                found += 1
+                assert (got.q, got.x, got.verified_memberships, got.distances) == want
+                assert got.m == m and got.verified
+            top = y.max_support()
+            start = 1 if top is None else max(1, top + 1)
+            span = 0 if top is None else top - y.min_support()
+            last = q_max if got is None else got.q
+            fallbacks += start <= min(span, last)
+        # every path ran: the overlapping-layers fallback, a walk that misses
+        # after passing at time 0, a raised weight-range error, witnesses
+        assert fallbacks and late_misses and errors and found
+
+    def test_overlapping_layers(self):
+        # span 1 >= q = 1: the layers of y = 2e_-3 - e_-2 overlap and partly
+        # cancel (||x - y||_1 = 5), so the layer-by-layer sum (3 a layer, 9 >
+        # 22/3) would reject the step that the built candidate passes
+        space = SpaceSpec(1, BILATERAL)
+        ball = Ball(e(-3, 2) - e(-2), Fraction(22, 3), space)
+        w = multirec_witness(UnitWeights(), space, ball, 3, 6)
+        want = oracle_multirec(UnitWeights(), space, ball, 3, 6)
+        assert w.q == 1 and (w.q, w.x, w.verified_memberships, w.distances) == want
+
+    def test_bilateral_pair_keeps_every_a(self):
+        # at q = 1 the inner lift sum z1 = e_-3 + 2e_-2 misses V1 = ball(e_-3,
+        # 7/4), yet B^3 x1 = B^3 y_U + z1 = -2e_-2 + z1 is V1's center: on the
+        # bilateral side the shifted U center stays, so a step cannot be
+        # skipped from z1 alone
+        space = SpaceSpec(1, BILATERAL)
+        U = Ball(e(1, -16), 25, space)
+        V1 = Ball(e(-3), Fraction(7, 4), space)
+        V2 = Ball(ZERO, 3, space)
+        args = (ConstantWeights(Fraction(1, 2)), space, U, V1, V2, 1, 6, 6)
+        w = pair_recurrence_search(*args)
+        assert (w.a, w.q) == (3, 1)
+        assert (w.x1, w.x2, w.a, w.q, w.m) == oracle_pair(*args)
+
+    def test_pair_search(self):
+        rng = random.Random(2026)
+        errors = found = 0
+        for _ in range(250):
+            weights = random_weights(rng)
+            laterality = rng.choice([UNILATERAL, BILATERAL])
+            p = rng.choice([1, 2, INF])
+            space = SpaceSpec(p, laterality)
+            m = rng.randint(0, 3)
+            mode = rng.choice(["exact", "float"])
+            balls = []
+            for _ in range(3):
+                y = random_center(rng, laterality, 3)
+                balls.append(Ball(y, random_radius(rng, weights, y, p, m, 8), space))
+            a_max, q_max = rng.randint(1, 12), rng.randint(1, 12)
+            want = outcome(oracle_pair, weights, space, *balls, m, a_max, q_max, mode)
+            got = outcome(pair_recurrence_search, weights, space, *balls, m, a_max, q_max, mode)
+            if isinstance(got, tuple):
+                errors += 1
+                assert got == want
+            elif got is None:
+                assert want is None
+            else:
+                found += 1
+                assert (got.x1, got.x2, got.a, got.q, got.m) == want
+        assert errors and found
+
+    def test_criterion(self):
+        rng = random.Random(77)
+        errors = 0
+        for _ in range(150):
+            weights = random_weights(rng)
+            eps = rng.choice([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 100)])
+            p_max, m_max = rng.randint(0, 3), rng.randint(1, 3)
+            q_max = rng.choice([20, 150]) if isinstance(weights, ValleyWeights) else rng.randint(1, 40)
+            want = outcome(oracle_criterion, weights, eps, p_max, m_max, q_max)
+            got = outcome(shift_ap_criterion, weights, L1, eps, p_max, m_max, q_max)
+            if isinstance(got, tuple):
+                errors += 1
+                assert got == want
+            else:
+                assert got.grid == want
+        assert errors

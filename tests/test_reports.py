@@ -3,8 +3,8 @@
 Each case pins one report byte for byte, so a change that alters any
 report, down to a key order or a trailing newline, fails here.  The cases
 cover every subcommand, the four exhausted-search payloads (in JSON and
-CSV), float mode, a schema error, a flag that is not JSON and one past
-Python's digit limit.  After an intended report change, re-pin a case
+CSV), float mode, a schema error, a flag that is not JSON, one past
+Python's digit limit, and explicit weights that run out mid-search.  After an intended report change, re-pin a case
 with `report_digest`.
 """
 
@@ -238,6 +238,44 @@ CASES = {
          "--ball", '{"center":[],"radius":"5","p":1}', "--horizon", "30"],
         0,
         "8a556f95c694ca78d1e5445818b1c034f429ad703bdfab9b35083bb24e6964d2",
+    ),
+    # a radius a part in 10^12 above the q = 3 gap 1/8: exact mode takes
+    # q = 3, float mode's shrunk radius rejects it and takes q = 4
+    "multirec-exact-near-boundary": (
+        ["multirec", "--weights", CONST2,
+         "--ball", '{"center": "e0", "radius": "125000000001/1000000000000"}', "--m", "1",
+         "--q-max", "10"],
+        0,
+        "1ac0483c3402e76390c219b61d89727328879b4b069f2c999805cb5bd826d5f7",
+    ),
+    "multirec-float-near-boundary": (
+        ["multirec", "--mode", "float", "--weights", CONST2,
+         "--ball", '{"center": "e0", "radius": "125000000001/1000000000000"}', "--m", "1",
+         "--q-max", "10"],
+        0,
+        "6a80272fc49add07f0c3ea54e761c23dccda38a9e3f621db79d066bf408dc70d",
+    ),
+    "multirec-explicit-weights-run-out": (
+        ["multirec", "--weights", '{"kind": "explicit", "values": [2, 3]}',
+         "--ball", '{"center": "e0", "radius": "1/4"}', "--m", "2"],
+        2,
+        "bd162317d4f169f2d526b9c67a56b0fcae78f32ee1f2b9653fad30e681d99ccb",
+    ),
+    # no step q = 1 candidate reaches V2, and its a-lifts run past the eighth weight
+    "pair-search-explicit-weights-run-out": (
+        ["pair-search", "--weights", '{"kind": "explicit", "values": [2, 2, 2, 2, 2, 2, 2, 2]}',
+         "--u", '{"center": "e0", "radius": "1/2"}', "--v1", '{"center": [], "radius": "1/2"}',
+         "--v2", '{"center": "e0", "radius": "1/2"}', "--m", "1"],
+        2,
+        "9cf590fd29fd67ecfcf012082f281e1df364d932d897de31617294ded939f50f",
+    ),
+    "pair-search-float": (
+        ["pair-search", "--mode", "float", "--weights", '{"kind": "constant", "value": "3/2"}',
+         "--u", '{"center": "e0", "radius": "1/2"}', "--v1", '{"center": "e1", "radius": "1/2"}',
+         "--v2", '{"center": [[0,1,2]], "radius": "1/3", "p": 2}', "--m", "2",
+         "--a-max", "30", "--q-max", "30"],
+        0,
+        "62680958adcca752a9fbca71bc939934ba363563d17a6d484006cc2a66f0ab45",
     ),
 }
 

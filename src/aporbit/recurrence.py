@@ -1,8 +1,9 @@
 """Return sets and constructive recurrence searches for weighted shifts.
 
 Every return time is checked on one lazy walk along the orbit of x
-(`spaces.walk`): the operator is applied step by step from x, ascending times
-share the walk, and the scalar lambda_t is applied afresh at each time t.
+(`spaces.walk`): it jumps from each requested time to the next in one exact
+application of a power of the operator, ascending times share the walk, and
+the scalar lambda_t is applied afresh at each time t.
 
 The lift-sum searches decide candidates by linearity.  With q beyond the
 span of y, the layers of x = y + L_q y + ... + L_mq y sit on disjoint
@@ -165,14 +166,14 @@ def shift_ap_criterion(
     if p_max < 0 or m_max < 1 or q_max < 1:
         raise InvalidArgumentError("grid bounds must be positive (p_max >= 0)")
 
-    sizes: dict[int, Fraction] = {}
+    sizes: dict[int, bool] = {}
 
     def small(n: int) -> bool:
-        a = sizes.get(n)
-        if a is None:
-            a = weights.lift_factor(0, n)
-            sizes[n] = a
-        return a <= eps
+        # the lift size 1/(w_1 ... w_n) = b/a against epsilon, in integers
+        if n not in sizes:
+            a, b = weights.weight_product(0, n)
+            sizes[n] = b * eps.denominator <= eps.numerator * a
+        return sizes[n]
 
     grid: dict[tuple[int, int], int | None] = {}
     for p in range(p_max + 1):
@@ -204,9 +205,11 @@ def lift_vector(weights: WeightSpec, y: FiniteVector, q: int) -> FiniteVector:
     """
     if q < 0:
         raise InvalidArgumentError("lift step must be non-negative")
-    return FiniteVector(
-        {n + q: c * weights.lift_factor(n, q) for n, c in y.items()}
-    )
+    terms = []
+    for n, c, d in y.triples():
+        w, v = weights.weight_product(n, q)
+        terms.append((n + q, c * v, d * w))
+    return FiniteVector.from_triples(terms)
 
 
 def multirec_candidate(
@@ -240,8 +243,8 @@ def _lift_sum_test(weights: WeightSpec, ball: Ball, m: int, tol: Fraction | None
         num, den = 0, 1
         for j in range(1, m + 1):
             for n, c, d in sizes:
-                f = weights.lift_factor(n, j * q)
-                a, b = c * f.numerator, d * f.denominator
+                w, v = weights.weight_product(n, j * q)  # the layer's coefficient is c*v/(d*w)
+                a, b = c * v, d * w
                 if p == 2:
                     a, b = a * a, b * b
                 if p == INF:

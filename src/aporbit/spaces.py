@@ -9,7 +9,8 @@ lowest terms only when it is read.  The backward shift maps e_n to
 w_n * e_(n-1) (weights are indexed by the source basis index, so the
 weight list is 1-indexed), and the forward shift is its exact right
 inverse e_n -> e_(n+1)/w_(n+1).  On the unilateral side the backward
-shift annihilates e_0 and negative indices are rejected.
+shift annihilates e_0 and negative indices are rejected.  k steps of a
+shift are one pass, with the weight product over them in closed form.
 
 Norm decisions are exact over the rationals: the l2 case compares
 squares, and open balls use strict inequality.  Instances here are
@@ -96,6 +97,12 @@ class FiniteVector:
     @classmethod
     def basis(cls, index: int, coefficient=1) -> "FiniteVector":
         return cls({index: coefficient})
+
+    @classmethod
+    def from_triples(cls, terms: list) -> "FiniteVector":
+        """The inverse of `triples`: distinct indices, nonzero numerators, denominators > 0."""
+        den = math.lcm(*(d for _, _, d in terms))
+        return _vector({idx: n * (den // d) for idx, n, d in terms}, den)
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         den = self._den
@@ -265,16 +272,18 @@ class WeightSpec:
     """Positive weight sequence w_1, w_2, ... for a weighted shift."""
 
     def weight(self, n: int) -> Fraction:
+        return Fraction(*self.weight_product(n - 1, 1))
+
+    def weight_product(self, start: int, steps: int) -> tuple[int, int]:
+        """w_(start+1) ... w_(start+steps) for steps >= 0, as integers (p, q) in lowest terms."""
         raise NotImplementedError
 
     def lift_factor(self, start: int, steps: int) -> Fraction:
         """prod_{l=start+1..start+steps} 1/w_l; from start 0, the size of the basis lift."""
         if steps < 0:
             raise InvalidArgumentError("steps must be non-negative")
-        out = Fraction(1)
-        for l in range(start + 1, start + steps + 1):
-            out /= self.weight(l)
-        return out
+        p, q = self.weight_product(start, steps)
+        return Fraction(q, p)
 
 
 @dataclass(frozen=True)
@@ -286,24 +295,14 @@ class ConstantWeights(WeightSpec):
         if self.value <= 0:
             raise InvalidArgumentError("weights must be positive")
 
-    def weight(self, n: int) -> Fraction:
-        return self.value
-
-    def lift_factor(self, start: int, steps: int) -> Fraction:
-        if steps < 0:
-            raise InvalidArgumentError("steps must be non-negative")
-        return self.value ** -steps
+    def weight_product(self, start: int, steps: int) -> tuple[int, int]:
+        return self.value.numerator**steps, self.value.denominator**steps
 
 
 @dataclass(frozen=True)
 class UnitWeights(WeightSpec):
-    def weight(self, n: int) -> Fraction:
-        return Fraction(1)
-
-    def lift_factor(self, start: int, steps: int) -> Fraction:
-        if steps < 0:
-            raise InvalidArgumentError("steps must be non-negative")
-        return Fraction(1)
+    def weight_product(self, start: int, steps: int) -> tuple[int, int]:
+        return 1, 1
 
 
 @dataclass(frozen=True)
@@ -325,16 +324,19 @@ class ExplicitWeights(WeightSpec):
             )
         return self.values[n - 1]
 
+    def weight_product(self, start: int, steps: int) -> tuple[int, int]:
+        # no closed form: one lookup per index, so a short list names the first index missing
+        out = Fraction(1)
+        for l in range(start + 1, start + steps + 1):
+            out *= self.weight(l)
+        return out.numerator, out.denominator
+
 
 #: valley levels held in the profile table.  Levels 13 and deeper raise the
 #: profile only from 16! - 12 (about 2.1e13) on, far beyond any orbit walk;
 #: indices that far out fall back to the formula, so the table stays under
 #: 2 000 entries whatever the depth.
 _VALLEY_TABLE_LEVELS = 12
-
-# w_n = a_(n-1)/a_n = 2^(g(n) - g(n-1)), and the profile g moves by at
-# most 1 per index (it is a maximum of 1-Lipschitz distances)
-_VALLEY_WEIGHTS = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(2)}
 
 
 def _valley_profile(depth: int, n: int) -> int:
@@ -409,17 +411,10 @@ class ValleyWeights(WeightSpec):
             return self._table.get(n, 0)
         return _valley_profile(self.depth, n)
 
-    def basis_size(self, n: int) -> Fraction:
-        return Fraction(1, 2 ** self.profile(n))
-
-    def weight(self, n: int) -> Fraction:
-        return _VALLEY_WEIGHTS[self.profile(n) - self.profile(n - 1)]
-
-    def lift_factor(self, start: int, steps: int) -> Fraction:
-        # the weight products telescope to a ratio of basis sizes
-        if steps < 0:
-            raise InvalidArgumentError("steps must be non-negative")
-        return self.basis_size(start + steps) / self.basis_size(start)
+    def weight_product(self, start: int, steps: int) -> tuple[int, int]:
+        # w_n = a_(n-1)/a_n = 2^(g(n) - g(n-1)), so the product telescopes
+        e = self.profile(start + steps) - self.profile(start)
+        return (1 << e, 1) if e >= 0 else (1, 1 << -e)
 
 
 @dataclass(frozen=True)
@@ -488,75 +483,77 @@ def operator_space(op: Operator) -> SpaceSpec:
     raise InvalidArgumentError(f"not an operator: {op!r}")
 
 
-def _shift(op: Union[BackwardShift, ForwardShift], x: FiniteVector) -> FiniteVector:
-    """One weighted shift, walking x in stored order so range errors name the first index met."""
+def _shift(op: Union[BackwardShift, ForwardShift], x: FiniteVector, k: int) -> FiniteVector:
+    """k steps of a weighted shift in one pass over x, in stored order.
+
+    Each coefficient moves k places, times (backward) or over (forward) the
+    weight product of the indices passed.  Explicit weights have no closed
+    form and step one at a time, so a range error names the first index met.
+    """
+    weights = op.weights
+    if k > 1 and isinstance(weights, ExplicitWeights):
+        for _ in range(k):
+            x = _shift(op, x, 1)
+        return x
     uni = op.space.laterality == UNILATERAL
     back = isinstance(op, BackwardShift)
-    step = -1 if back else 1
-    weights = op.weights
+    step = -k if back else k
     if isinstance(weights, (UnitWeights, ConstantWeights)):
-        # one weight for every index: one integer factor each side of the fraction bar
+        # one product for every index: one integer factor each side of the fraction bar
         moved = {}
         for n, c in x._num.items():
             if uni and n < 0:
                 raise InvalidArgumentError("negative support in a unilateral space")
-            if not (back and uni and n == 0):
+            if not (back and uni and n < k):
                 moved[n + step] = c
-        den = x._den
-        if len(moved) < len(x._num):
-            # annihilating e_0 can leave a common factor
-            v = _vector(moved, den)
-            moved, den = v._num, v._den
-        w = weights.weight(1)
-        p, q = (w.numerator, w.denominator) if back else (w.denominator, w.numerator)
-        return _times(moved, den, p, q)
-    weight = weights.weight
+        # annihilating e_0 .. e_(k-1) can leave a common factor
+        v = _vector(moved, x._den, reduced=len(moved) == len(x._num))
+        p, q = weights.weight_product(0, k)
+        return _times(v._num, v._den, *((p, q) if back else (q, p)))
     terms = []
     for n, c in x._num.items():
         if uni and n < 0:
             raise InvalidArgumentError("negative support in a unilateral space")
-        if back:
-            if uni and n == 0:
-                continue
-            w = weight(n)
-            terms.append((n - 1, c * w.numerator, w.denominator))
-        else:
-            w = weight(n + 1)
-            terms.append((n + 1, c * w.denominator, w.numerator))
+        if not (back and uni and n < k):
+            p, q = weights.weight_product(n - k if back else n, k)
+            terms.append((n + step, c * p, q) if back else (n + step, c * q, p))
     den = math.lcm(*(d for _, _, d in terms))
     return _vector({n: c * (den // d) for n, c, d in terms}, x._den * den)
 
 
-def apply(op: Operator, x: FiniteVector) -> FiniteVector:
-    """One exact application of the operator to a finitely supported vector.
+def apply(op: Operator, x: FiniteVector, k: int = 1) -> FiniteVector:
+    """T^k x for k >= 0, exactly, with one pass per shift.
 
-    A shift moves distinct indices to distinct indices and multiplies by a
-    positive weight, so no coefficient collides or vanishes; each image is
-    reduced once, over its shared denominator.
+    A shift jumps its k steps at once, a scaled operator takes s^k and a
+    power T^e takes e*k steps of T.  A direct sum steps as a whole, k
+    times, so errors keep their stepwise order.  A shift maps distinct
+    indices to distinct indices times positive weights, so no coefficient
+    collides or vanishes; each image is reduced once.
     """
+    if k < 0:
+        raise InvalidArgumentError("iteration count must be non-negative")
     if isinstance(op, (BackwardShift, ForwardShift)):
-        return _shift(op, x)
+        return _shift(op, x, k)
     if isinstance(op, Scaled):
-        return apply(op.inner, x).scale(op.scalar)
+        return apply(op.inner, x, k).scale(op.scalar**k)
     if isinstance(op, Power):
-        v = x
-        for _ in range(op.exponent):
-            v = apply(op.inner, v)
-        return v
+        return apply(op.inner, x, op.exponent * k)
     if isinstance(op, DirectSum):
         r = len(op.parts)
-        split: list[dict[int, int]] = [dict() for _ in range(r)]
-        for g, c in x._num.items():
-            split[g % r][g // r] = c
-        images = [apply(part, _vector(split[i], x._den)) for i, part in enumerate(op.parts)]
-        den = math.lcm(*(image._den for image in images))
-        merged: dict[int, int] = {}
-        for i, image in enumerate(images):
-            f = den // image._den
-            for n, c in image._num.items():
-                merged[n * r + i] = c * f
-        # over the lcm of canonical denominators the form stays canonical
-        return _vector(merged, den, reduced=True)
+        for _ in range(k):
+            split: list[dict[int, int]] = [dict() for _ in range(r)]
+            for g, c in x._num.items():
+                split[g % r][g // r] = c
+            images = [apply(part, _vector(split[i], x._den)) for i, part in enumerate(op.parts)]
+            den = math.lcm(*(image._den for image in images))
+            merged: dict[int, int] = {}
+            for i, image in enumerate(images):
+                f = den // image._den
+                for n, c in image._num.items():
+                    merged[n * r + i] = c * f
+            # over the lcm of canonical denominators the form stays canonical
+            x = _vector(merged, den, reduced=True)
+        return x
     raise InvalidArgumentError(f"not an operator: {op!r}")
 
 
@@ -673,13 +670,13 @@ def scalar_value(scalars: ScalarSeq, n: int, mode: str) -> Fraction:
 def walk(seq: MapSequence, x: FiniteVector, times, mode: str = "exact"):
     """Yield lambda_t T^t x (or plain T^t x) for each t in times, in the order given.
 
-    One forward walk from x serves ascending times; a time below the
-    walk's position restarts it from x.  The scalar is applied to a copy
-    at each time and never carried along the walk.  Lazy, so a caller that
-    stops early pays only for the times it consumed.  In float mode the
-    scalar is the double approximation embedded exactly into the
-    rationals; callers deciding memberships must pair this with the
-    tolerant ball test.
+    One forward walk from x serves ascending times, jumping to each in one
+    `apply`; a time below the walk's position restarts it from x.  The
+    scalar is applied to a copy at each time and never carried along the
+    walk.  Lazy, so a caller that stops early pays only for the times it
+    consumed.  In float mode the scalar is the double approximation
+    embedded exactly into the rationals; callers deciding memberships must
+    pair this with the tolerant ball test.
     """
     op = seq.operator
     scalars = seq.scalars if isinstance(seq, ScaledIterates) else None
@@ -689,9 +686,9 @@ def walk(seq: MapSequence, x: FiniteVector, times, mode: str = "exact"):
             raise InvalidArgumentError("iteration count must be non-negative")
         if t < pos:
             pos, v = 0, x
-        while pos < t:
-            v = apply(op, v)
-            pos += 1
+        if t > pos:
+            v = apply(op, v, t - pos)
+            pos = t
         if scalars is None:
             yield v
         else:

@@ -271,23 +271,24 @@ class TestMultirec:
     def test_valley_search_walks_each_orbit_once(self, monkeypatch):
         # ball 3e0 of radius 27/8 first admits q = 120 at m = 2; the steps
         # before it are rejected from the closed form and cost no
-        # application, and the winner takes one walk of 2q, which decides
-        # its memberships and gives its distances (a search and a
-        # re-verification walk took 480; checking each time from scratch
-        # took ~22 000)
-        calls = []
+        # application, and the winner takes one walk of 2q steps, which
+        # decides its memberships and gives its distances.  The walk jumps
+        # from each checked time to the next, so it is two applications
+        # (stepping it took 240; a search and a re-verification walk took
+        # 480; checking each time from scratch took ~22 000)
+        steps = []
         real_apply = spaces.apply
 
-        def counting_apply(op, x):
-            calls.append(op)
-            return real_apply(op, x)
+        def counting_apply(op, x, k=1):
+            steps.append(k)
+            return real_apply(op, x, k)
 
         monkeypatch.setattr(spaces, "apply", counting_apply)
         ball = Ball(e(0, 3), Fraction(27, 8), L1)
         w = multirec_witness(ValleyWeights(2), L1, ball, m=2, q_max=130)
         assert w is not None and w.verified and w.q == 120
         assert w.distances == (Fraction(3, 2), Fraction(3, 4), Fraction(0))
-        assert len(calls) == 2 * w.q
+        assert steps == [w.q, w.q]
 
     def test_deterministic(self):
         ball = Ball(e(0), Fraction(1, 4), L1)
@@ -440,14 +441,15 @@ class TestPairSearch:
         # at q = 1, 2 and 3 the inner lift-sum toward V2 = ball(e0, 1/8) misses
         # its ball, so no a can work there; the first a with both points in
         # U = ball(e0, 1/64) at q = 4 is a = 7.  Only the winner is walked:
-        # a + m*q = 11 applications for each of x1 and x2 (walking every
-        # (q, a) with both points in U took 5,020)
-        calls = []
+        # a + m*q = 11 steps for each of x1 and x2, in one jump to each
+        # checked time a and a + q (stepping took 22 applications; walking
+        # every (q, a) with both points in U took 5,020)
+        steps = []
         real_apply = spaces.apply
 
-        def counting_apply(op, x):
-            calls.append(op)
-            return real_apply(op, x)
+        def counting_apply(op, x, k=1):
+            steps.append(k)
+            return real_apply(op, x, k)
 
         monkeypatch.setattr(spaces, "apply", counting_apply)
         U = Ball(e(0), Fraction(1, 64), L1)
@@ -455,7 +457,7 @@ class TestPairSearch:
         V2 = Ball(e(0), Fraction(1, 8), L1)
         w = pair_recurrence_search(W2, L1, U, V1, V2, m=1, a_max=40, q_max=40)
         assert (w.a, w.q) == (7, 4)
-        assert len(calls) == 2 * (w.a + w.m * w.q)
+        assert steps == [w.a, w.q] * 2
 
 
 # ---------------------------------------------------------------------------

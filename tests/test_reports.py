@@ -269,6 +269,17 @@ CASES = {
         2,
         "9cf590fd29fd67ecfcf012082f281e1df364d932d897de31617294ded939f50f",
     ),
+    # a power of a direct sum steps the whole sum at a time: the second
+    # part's list runs out at the first step, before the first part's does
+    "orbit-direct-sum-power-explicit-run-out": (
+        ["orbit", "--operator",
+         '{"kind":"power","exponent":3,"inner":{"kind":"direct-sum","parts":['
+         '{"kind":"forward","weights":{"kind":"explicit","values":["1","1","1","1"]}},'
+         '{"kind":"forward","weights":{"kind":"explicit","values":["1","1"]}}]}}',
+         "--x", "[[5,1,1],[6,1,1]]", "--horizon", "2"],
+        2,
+        "da96e5b06306c1311b6b2edad76fe0679bff834099a5406936df1b1cc099bca6",
+    ),
     "pair-search-float": (
         ["pair-search", "--mode", "float", "--weights", '{"kind": "constant", "value": "3/2"}',
          "--u", '{"center": "e0", "radius": "1/2"}', "--v1", '{"center": "e1", "radius": "1/2"}',

@@ -216,13 +216,13 @@ class TestValleyWeights:
             q = w.block_step(m)
             for j in range(1, m + 1):
                 for p in range(0, m + 1):
-                    assert w.basis_size(j * q + p) == Fraction(1, 2**m)
+                    assert w.lift_factor(0, j * q + p) == Fraction(1, 2**m)
 
     def test_profile_zero_off_valleys(self):
         w = ValleyWeights(3)
         for n in (0, 1, 23, 26, 100, 118, 124, 500, 717, 726):
             assert w.profile(n) == 0
-            assert w.basis_size(n) == 1
+            assert w.lift_factor(0, n) == 1
 
     def test_weights_take_three_values(self):
         w = ValleyWeights(2)
@@ -239,7 +239,7 @@ class TestValleyWeights:
         for n in range(1, 300):
             brute /= w.weight(n)
             assert w.lift_factor(0, n) == brute
-            assert w.lift_factor(0, n) == w.basis_size(n)
+            assert w.lift_factor(0, n) == Fraction(1, 2 ** w.profile(n))
 
     @staticmethod
     def direct_profile(depth: int, n: int) -> int:
@@ -259,7 +259,8 @@ class TestValleyWeights:
         for n in range(-5, 20_001):
             g = profile[n + 6]
             assert w.profile(n) == g
-            assert w.basis_size(n) == Fraction(1, 2**g)
+            if n >= 0:
+                assert w.lift_factor(0, n) == Fraction(1, 2**g)
             assert w.weight(n) == Fraction(2) ** (g - profile[n + 5])
 
     def test_profile_past_the_table(self):
@@ -327,6 +328,34 @@ class TestApply:
         op = BackwardShift(UnitWeights(), L1)
         with pytest.raises(InvalidArgumentError):
             apply(op, e(-1))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            apply(Power(2, BackwardShift(UnitWeights(), L1_BI)), e(3), -1)
+
+    def test_stored_order_decides_between_negative_support_and_a_range_error(self):
+        # one pass meets the coefficients in stored order, for one step or k
+        short = ExplicitWeights((Fraction(2), Fraction(3)))
+        for k in (1, 3):
+            for op in (BackwardShift(short, L1), ForwardShift(short, L1)):
+                with pytest.raises(InvalidArgumentError, match="^weight index [56] outside"):
+                    apply(op, FiniteVector([(5, 1), (-1, 1)]), k)
+                with pytest.raises(InvalidArgumentError, match="^negative support in a unilateral"):
+                    apply(op, FiniteVector([(-1, 1), (5, 1)]), k)
+            # a closed-form family has no range error to meet first
+            with pytest.raises(InvalidArgumentError, match="^negative support in a unilateral"):
+                apply(BackwardShift(ValleyWeights(2), L1), FiniteVector([(5, 1), (-1, 1)]), k)
+
+    def test_k_steps_of_a_direct_sum_keep_the_stepwise_error(self):
+        # the second part's list runs out at the first step; the first
+        # part's would run out only at the third
+        long, short = (ExplicitWeights((Fraction(1),) * n) for n in (4, 2))
+        op = DirectSum((ForwardShift(long, L1), ForwardShift(short, L1)))
+        x = FiniteVector([(5, 1), (6, 1)])
+        message = "^weight index 3 outside the accessible range 1..2$"
+        for k, power in ((3, op), (1, Power(3, op))):
+            with pytest.raises(InvalidArgumentError, match=message):
+                apply(power, x, k)
 
     def test_image_stores_no_zero_coefficient(self):
         rng = random.Random(7002)
@@ -543,7 +572,7 @@ def random_fraction(rng: random.Random, positive: bool = False) -> Fraction:
             return c
 
 
-def random_shift(rng: random.Random):
+def random_shift(rng: random.Random, explicit_length: int = 80, valley_depth: int = 2):
     """A weighted shift of either direction and side, with any of the four weight kinds."""
     kind = rng.choice(["unit", "constant", "explicit", "valley"])
     # explicit weights stop at index 1, so they live on the unilateral side
@@ -551,28 +580,30 @@ def random_shift(rng: random.Random):
     weights = {
         "unit": lambda: UnitWeights(),
         "constant": lambda: ConstantWeights(random_fraction(rng, positive=True)),
-        "explicit": lambda: ExplicitWeights(tuple(random_fraction(rng, positive=True) for _ in range(80))),
-        "valley": lambda: ValleyWeights(rng.randint(1, 2)),
+        "explicit": lambda: ExplicitWeights(
+            tuple(random_fraction(rng, positive=True) for _ in range(explicit_length))
+        ),
+        "valley": lambda: ValleyWeights(rng.randint(1, valley_depth)),
     }[kind]()
     shift = rng.choice([BackwardShift, ForwardShift])
     return shift(weights, SpaceSpec(rng.choice([1, 2, INF]), side))
 
 
-def random_operator(rng: random.Random, depth: int = 2):
+def random_operator(rng: random.Random, depth: int = 2, **shift_options):
     roll = rng.random() if depth else 0
     if roll < 0.4:
-        return random_shift(rng)
+        return random_shift(rng, **shift_options)
     if roll < 0.6:
-        return Scaled(random_fraction(rng), random_operator(rng, depth - 1))
+        return Scaled(random_fraction(rng), random_operator(rng, depth - 1, **shift_options))
     if roll < 0.8:
-        return Power(rng.randint(2, 3), random_operator(rng, depth - 1))
-    first = random_operator(rng, depth - 1)
+        return Power(rng.randint(2, 3), random_operator(rng, depth - 1, **shift_options))
+    first = random_operator(rng, depth - 1, **shift_options)
     # every part must act on the same space as the first
     parts = [first]
     for _ in range(rng.randint(1, 2)):
-        other = random_shift(rng)
+        other = random_shift(rng, **shift_options)
         while other.space != operator_space(first):
-            other = random_shift(rng)
+            other = random_shift(rng, **shift_options)
         parts.append(other)
     return DirectSum(tuple(parts))
 
@@ -636,6 +667,52 @@ class TestDifferentialKernel:
                 diff = scaled[t] - ball.center
                 assert_canonical(diff)
                 assert as_dict(diff) == ref_sub(scaled_ref, center)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_k_steps_and_sparse_walks_match_stepping_the_reference(self, seed):
+        # short explicit lists run out within the powers below, valley
+        # depths reach 3, unilateral support below k is annihilated and
+        # bilateral vectors reach negative indices; an error must be the
+        # one the stepwise reference meets first, in type and message
+        rng = random.Random(9300 + seed)
+        seen = set()
+        for _ in range(60):
+            op = random_operator(rng, explicit_length=rng.randint(3, 12), valley_depth=3)
+            bilateral = operator_space(op).laterality == BILATERAL
+            ref = random_entries(rng, bilateral)
+            x = FiniteVector(ref)
+            steps, failure = [ref], None
+            for _ in range(17):
+                try:
+                    steps.append(ref_apply(op, steps[-1]))
+                except InvalidArgumentError as exc:
+                    failure = (len(steps), type(exc), str(exc))
+                    seen.add("runs out")
+                    break
+            for k in range(1, 13):
+                if failure is None or k < failure[0]:
+                    v = apply(op, x, k)
+                    assert_canonical(v)
+                    assert as_dict(v) == steps[k]
+                    if not bilateral and len(steps[k]) < len(ref):
+                        seen.add("annihilated")
+                else:
+                    with pytest.raises(failure[1]) as caught:
+                        apply(op, x, k)
+                    assert str(caught.value) == failure[2]
+            for times in ((0, 5, 17), (17, 5), (3, 3, 12)):
+                if failure is None or max(times) < failure[0]:
+                    got = [as_dict(v) for v in walk(Iterates(op), x, times)]
+                    assert got == [steps[t] for t in times]
+                else:
+                    with pytest.raises(failure[1]) as caught:
+                        list(walk(Iterates(op), x, times))
+                    assert str(caught.value) == failure[2]
+            if bilateral and any(n < 0 for n in ref):
+                seen.add("negative indices")
+            if "depth=3" in repr(op):
+                seen.add("valley depth 3")
+        assert seen == {"runs out", "annihilated", "negative indices", "valley depth 3"}
 
     def test_one_value_by_two_routes_compares_and_hashes_equal(self):
         rng = random.Random(9200)

@@ -64,23 +64,21 @@ from .recurrence import (
 )
 from .spaces import (
     BILATERAL,
-    FLOAT_MEMBERSHIP_TOL,
     INF,
     UNILATERAL,
     BackwardShift,
     Ball,
     ConstantWeights,
     DirectSum,
+    DoubleScalars,
     DyadicSqrtScalars,
     ExplicitScalars,
     ExplicitWeights,
     ExpSqrtScalars,
     FiniteVector,
     ForwardShift,
-    Iterates,
     OneScalars,
     Power,
-    ScaledIterates,
     Scaled,
     SpaceSpec,
     UnitWeights,
@@ -88,9 +86,7 @@ from .spaces import (
     apply,
     in_ball,
     invert,
-    iterate,
     operator_space,
-    orbit,
     walk,
 )
 

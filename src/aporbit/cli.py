@@ -11,7 +11,9 @@ reproduces the report byte-for-byte in exact mode.
 One convention boundary lives here and only here: the core recurrence
 operations count a pattern by its extra returns m (a witness visits the
 target m+1 times), while set-side code counts terms.  Configs may give
-either `m` or `length` (= m + 1); both are translated at parse time.
+either `m` or `length` (= m + 1); both are translated at parse time.  So
+does the exact/float choice: in float mode the runners wrap scalars in
+`DoubleScalars` and give every ball `FLOAT_SLACK`; the library takes no mode.
 """
 
 import argparse
@@ -24,6 +26,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
+from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
@@ -68,12 +71,12 @@ from .serialize import (
 )
 from .spaces import (
     UNILATERAL,
-    Iterates,
+    Ball,
+    DoubleScalars,
     OneScalars,
-    ScaledIterates,
     SpaceSpec,
     operator_space,
-    orbit as orbit_points,
+    walk,
 )
 
 OK = 0
@@ -81,6 +84,11 @@ EXHAUSTED = 1
 INVALID = 2
 INTERNAL = 3
 BROKEN_PIPE = 141  # what shells report for a process killed by SIGPIPE (128 + 13)
+
+#: the slack of every ball in float mode: memberships are decided against
+#: radius*(1 - FLOAT_SLACK), so a verdict on double-rounded scalars stays on
+#: the conservative side of the exact boundary.
+FLOAT_SLACK = Fraction(1, 10**9)
 
 _INCONCLUSIVE_NOTE = (
     "search exhausted its bounds without a witness; "
@@ -179,11 +187,20 @@ def _k(config):
     return _expect_int(config, "k", minimum=2) if "k" in config else 3
 
 
-def _scalars(config, path="$"):
-    """The config's scalar sequence; all ones (the plain iterates) when absent."""
+def _scalars(config, mode):
+    """The config's scalars, as doubles in float mode; None (the plain iterates) for all ones."""
     if "scalars" not in config:
-        return OneScalars()
-    return parse_scalars(config["scalars"], f"{path}.scalars")
+        return None
+    scalars = parse_scalars(config["scalars"], "$.scalars")
+    if isinstance(scalars, OneScalars):
+        return None
+    return DoubleScalars(scalars) if mode == "float" else scalars
+
+
+def _ball(config, key, laterality, mode):
+    """The ball at config[key]; in float mode it carries FLOAT_SLACK."""
+    ball = parse_ball(config.get(key), laterality, f"$.{key}")
+    return Ball(ball.center, ball.radius, ball.space, FLOAT_SLACK) if mode == "float" else ball
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +247,9 @@ def run_analyze_set(config, mode):
     )
 
 
-def _orbit_sequence(config, path="$"):
-    op = parse_operator(config.get("operator"), f"{path}.operator")
-    scalars = _scalars(config, path)
-    if isinstance(scalars, OneScalars):
-        return op, Iterates(op)
-    return op, ScaledIterates(scalars, op)
-
-
 def run_orbit(config, mode):
-    op, seq = _orbit_sequence(config)
+    op = parse_operator(config.get("operator"), "$.operator")
+    scalars = _scalars(config, mode)
     x = parse_vector(config.get("x"), "$.x")
     space = operator_space(op)
     if space.laterality == UNILATERAL and x.min_support() is not None and x.min_support() < 0:
@@ -248,7 +258,8 @@ def run_orbit(config, mode):
     horizon = _bound(config, "horizon", 20, bounds, minimum=0)
     rows = []
     csv_rows = []
-    for n, v in orbit_points(seq, x, horizon, mode):
+    times = range(horizon + 1)
+    for n, v in zip(times, walk(op, x, times, scalars)):
         l1, l2sq, sup = v.l1(), v.l2_squared(), v.sup()
         rows.append(
             {
@@ -266,13 +277,13 @@ def run_orbit(config, mode):
 
 
 def run_return_set(config, mode):
-    op, seq = _orbit_sequence(config)
+    op = parse_operator(config.get("operator"), "$.operator")
+    scalars = _scalars(config, mode)
     x = parse_vector(config.get("x"), "$.x")
-    space = operator_space(op)
-    ball = parse_ball(config.get("ball"), space.laterality, "$.ball")
+    ball = _ball(config, "ball", operator_space(op).laterality, mode)
     bounds = {}
     horizon = _bound(config, "horizon", 50, bounds, minimum=0)
-    hits = return_set(seq, x, ball, horizon, mode)
+    hits = return_set(op, x, ball, horizon, scalars)
     return _settled(
         ("n",),
         [(n,) for n in hits.elements],
@@ -312,11 +323,11 @@ def run_shift_check(config, mode):
 def run_multirec(config, mode):
     weights = parse_weights(config.get("weights"), "$.weights")
     space = _parse_space(config)
-    ball = parse_ball(config.get("ball"), space.laterality, "$.ball")
+    ball = _ball(config, "ball", space.laterality, mode)
     m = _resolve_m(config)
     bounds = {}
     q_max = _bound(config, "q_max", 100, bounds)
-    witness = multirec_witness(weights, space, ball, m, q_max, mode)
+    witness = multirec_witness(weights, space, ball, m, q_max)
     if witness is None:
         return _exhausted(bounds, ("j", "time", "distance"), m=m)
     distances = [_fr(d, mode) for d in witness.distances]
@@ -339,13 +350,13 @@ def run_multirec(config, mode):
 def run_universal(config, mode):
     if "scalars" not in config:
         raise SchemaError("$.scalars", "missing scalar sequence")
-    scalars = parse_scalars(config["scalars"], "$.scalars")
+    scalars = _scalars(config, mode) or OneScalars()
     y = parse_vector(config.get("y"), "$.y")
     m = _expect_int(config, "m", minimum=0)
     k = _expect_int(config, "k", minimum=1)
     space = _parse_space(config)
-    ytilde = universal_vector(scalars, y, m, k, mode)
-    error = _fr(verify_universal(scalars, y, m, k, space, mode), mode)
+    ytilde = universal_vector(scalars, y, m, k)
+    error = _fr(verify_universal(scalars, ytilde, y, m, k, space), mode)
     return _settled(
         ("m", "k", "error"),
         [(m, k, error)],
@@ -433,16 +444,14 @@ def run_vdw(config, mode):
 def run_pair_search(config, mode):
     weights = parse_weights(config.get("weights"), "$.weights")
     space = _parse_space(config)
-    U = parse_ball(config.get("u"), space.laterality, "$.u")
-    V1 = parse_ball(config.get("v1"), space.laterality, "$.v1")
-    V2 = parse_ball(config.get("v2"), space.laterality, "$.v2")
+    U = _ball(config, "u", space.laterality, mode)
+    V1 = _ball(config, "v1", space.laterality, mode)
+    V2 = _ball(config, "v2", space.laterality, mode)
     m = _resolve_m(config)
     bounds = {}
     a_max = _bound(config, "a_max", 50, bounds)
     q_max = _bound(config, "q_max", 50, bounds)
-    witness = pair_recurrence_search(
-        weights, space, U, V1, V2, m, a_max, q_max, mode
-    )
+    witness = pair_recurrence_search(weights, space, U, V1, V2, m, a_max, q_max)
     if witness is None:
         return _exhausted(bounds, ("a", "q", "m"), m=m)
     return _settled(
@@ -463,7 +472,7 @@ def run_pair_search(config, mode):
 def run_nested(config, mode):
     weights = parse_weights(config.get("weights"), "$.weights")
     space = _parse_space(config)
-    ball = parse_ball(config.get("ball"), space.laterality, "$.ball")
+    ball = _ball(config, "ball", space.laterality, mode)
     stages = _expect_int(config, "stages", minimum=0)
     bounds = {}
     q_max = _bound(config, "q_max", 100, bounds)
@@ -477,7 +486,7 @@ def run_nested(config, mode):
         }
 
     try:
-        refinement = nested_ball_refinement(weights, space, ball, stages, q_max, mode)
+        refinement = nested_ball_refinement(weights, space, ball, stages, q_max)
     except StageFailureError as exc:
         return _exhausted(
             bounds,
@@ -502,16 +511,15 @@ def run_nested(config, mode):
 
 
 def run_puig_count(config, mode):
-    scalars = _scalars(config)
+    scalars = _scalars(config, mode) or OneScalars()
     op = parse_operator(config.get("operator"), "$.operator")
     x = parse_vector(config.get("x"), "$.x")
-    space = operator_space(op)
-    ball = parse_ball(config.get("ball"), space.laterality, "$.ball")
+    ball = _ball(config, "ball", operator_space(op).laterality, mode)
     m = _resolve_m(config, default=0)
     q = _expect_int(config, "q", minimum=1)
     bounds = {}
     horizon = _bound(config, "horizon", 50, bounds, minimum=0)
-    count = joint_return_count(scalars, op, x, ball, m, q, horizon, mode)
+    count = joint_return_count(scalars, op, x, ball, m, q, horizon)
     return _settled(
         ("m", "q", "horizon", "count"),
         [(m, q, horizon, count)],

@@ -19,7 +19,9 @@ on).  A `None` / raised stage failure is *inconclusive* — it never refutes
 the corresponding unbounded statement.
 
 Distances are reported as exact rationals; in the l2 case the squared
-distance is reported so no irrational square root is ever taken.
+distance is reported so no irrational square root is ever taken.  Nothing
+here takes a mode: float mode arrives as `DoubleScalars` and balls with a
+slack, which every membership decision honours.
 """
 
 from dataclasses import dataclass, field
@@ -28,17 +30,13 @@ from fractions import Fraction
 from .errors import InvalidArgumentError, PreconditionError, StageFailureError, WorkbenchError
 from .families import HitSet
 from .spaces import (
-    FLOAT_MEMBERSHIP_TOL,
     INF,
     UNILATERAL,
     BackwardShift,
     Ball,
     ExplicitWeights,
     FiniteVector,
-    Iterates,
-    MapSequence,
     Operator,
-    ScaledIterates,
     ScalarSeq,
     SpaceSpec,
     UnitWeights,
@@ -47,22 +45,8 @@ from .spaces import (
     in_ball,
     invert,
     norm_key,
-    orbit,
-    scalar_value,
     walk,
 )
-
-EXACT = "exact"
-FLOAT = "float"
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (EXACT, FLOAT):
-        raise InvalidArgumentError("mode must be 'exact' or 'float'")
-
-
-def _tolerance(mode: str) -> Fraction | None:
-    return FLOAT_MEMBERSHIP_TOL if mode == FLOAT else None
 
 
 def membership_gap(x: FiniteVector, ball: Ball) -> Fraction:
@@ -71,24 +55,23 @@ def membership_gap(x: FiniteVector, ball: Ball) -> Fraction:
 
 
 def _return_gaps(
-    seq: MapSequence, x: FiniteVector, ball: Ball, times, mode: str
+    op: Operator, x: FiniteVector, ball: Ball, times
 ) -> tuple[Fraction, ...] | None:
     """The membership_gap of each iterate, or None at the first miss (one walk)."""
-    tol = _tolerance(mode)
     hits = []
-    for v in walk(seq, x, times, mode):
-        if not in_ball(v, ball, tol):
+    for v in walk(op, x, times):
+        if not in_ball(v, ball):
             return None
         hits.append(v)
     return tuple(membership_gap(v, ball) for v in hits)
 
 
 def verify_return_times(
-    seq: MapSequence,
+    op: Operator,
     x: FiniteVector,
     ball: Ball,
     times,
-    mode: str = EXACT,
+    scalars: ScalarSeq | None = None,
 ) -> tuple[bool, ...]:
     """Check each requested return time: one bool per time, in the order given.
 
@@ -97,22 +80,21 @@ def verify_return_times(
     that produced x or the times is reused, so a passing tuple is a sound
     certificate on its own.
     """
-    _check_mode(mode)
-    tol = _tolerance(mode)
-    return tuple(in_ball(v, ball, tol) for v in walk(seq, x, times, mode))
+    return tuple(in_ball(v, ball) for v in walk(op, x, times, scalars))
 
 
 def return_set(
-    seq: MapSequence,
+    op: Operator,
     x: FiniteVector,
     ball: Ball,
     horizon: int,
-    mode: str = EXACT,
+    scalars: ScalarSeq | None = None,
 ) -> HitSet:
     """{ n <= horizon : (lambda_n) T^n x lands in the ball }, exactly."""
-    _check_mode(mode)
-    tol = _tolerance(mode)
-    hits = [n for n, v in orbit(seq, x, horizon, mode) if in_ball(v, ball, tol)]
+    if horizon < 0:
+        raise InvalidArgumentError("horizon must be non-negative")
+    times = range(horizon + 1)
+    hits = [n for n, v in zip(times, walk(op, x, times, scalars)) if in_ball(v, ball)]
     return HitSet(tuple(hits), horizon)
 
 
@@ -226,7 +208,7 @@ def multirec_candidate(
     return x
 
 
-def _lift_sum_test(weights: WeightSpec, ball: Ball, m: int, tol: Fraction | None):
+def _lift_sum_test(weights: WeightSpec, ball: Ball, m: int):
     """The test q -> whether multirec_candidate(weights, ball.center, q, m) lies in the ball.
 
     Only for q beyond the span of the center, where the layers L_(jq) y sit
@@ -252,7 +234,7 @@ def _lift_sum_test(weights: WeightSpec, ball: Ball, m: int, tol: Fraction | None
                         num, den = a, b
                 else:
                     num, den = num * b + a * den, den * b
-        return below_radius(num, den, ball, tol)
+        return below_radius(num, den, ball)
 
     return inside
 
@@ -280,7 +262,6 @@ def multirec_witness(
     ball: Ball,
     m: int,
     q_max: int,
-    mode: str = EXACT,
 ) -> RecurrenceWitness | None:
     """Search steps q <= q_max for a lift-sum witness with m+1 verified returns.
 
@@ -294,7 +275,6 @@ def multirec_witness(
     miss there, possible only on the bilateral side, moves the search on.
     None is inconclusive.
     """
-    _check_mode(mode)
     if m < 0:
         raise InvalidArgumentError("m must be non-negative")
     if q_max < 1:
@@ -303,13 +283,13 @@ def multirec_witness(
     top = y.max_support()
     start = 1 if top is None else max(1, top + 1)
     span = 0 if top is None else top - y.min_support()
-    seq = Iterates(BackwardShift(weights, space))
-    lift_sum_inside = _lift_sum_test(weights, ball, m, _tolerance(mode))
+    op = BackwardShift(weights, space)
+    lift_sum_inside = _lift_sum_test(weights, ball, m)
     for q in range(start, q_max + 1):
         if q > span and not lift_sum_inside(q):
             continue
         x = multirec_candidate(weights, y, q, m)
-        gaps = _return_gaps(seq, x, ball, [j * q for j in range(m + 1)], mode)
+        gaps = _return_gaps(op, x, ball, [j * q for j in range(m + 1)])
         if gaps is not None:
             # the walk decided every membership; it returns gaps only if all hold
             return RecurrenceWitness(q, x, m, (True,) * len(gaps), gaps)
@@ -320,16 +300,13 @@ def multirec_witness(
 # Universal vectors for scaled orbits of the plain backward shift
 
 
-def universal_vector(
-    scalars: ScalarSeq, y: FiniteVector, m: int, k: int, mode: str = EXACT
-) -> FiniteVector:
+def universal_vector(scalars: ScalarSeq, y: FiniteVector, m: int, k: int) -> FiniteVector:
     """y + S^k(y)/lambda_k + ... + S^(mk)(y)/lambda_(mk) for the plain shift.
 
     S is the unweighted forward shift, so the j-th layer is y's support
     translated by j*k and scaled by 1/lambda_(jk); the layers are
     disjoint because k exceeds y's support.
     """
-    _check_mode(mode)
     if m < 0:
         raise InvalidArgumentError("m must be non-negative")
     if k < 1:
@@ -343,38 +320,32 @@ def universal_vector(
         raise InvalidArgumentError("y must be supported on non-negative indices")
     out = y
     for j in range(1, m + 1):
-        lam = scalar_value(scalars, j * k, mode)
+        lam = scalars.value(j * k)
         out = out + y.shift_support(j * k).scale(1 / lam)
     return out
 
 
 def verify_universal(
     scalars: ScalarSeq,
+    ytilde: FiniteVector,
     y: FiniteVector,
     m: int,
     k: int,
     space: SpaceSpec,
-    mode: str = EXACT,
-):
+) -> Fraction:
     """max over 1 <= l <= m of || lambda_(lk) B^(lk) ytilde  -  y ||.
 
-    B is the plain unilateral backward shift.  The l = m term vanishes
-    exactly; each earlier term is a tail of scaled translates of y.
-    Returns an exact rational in exact mode (squared for p = 2) and a
-    float in float mode; m = 0 gives zero.
+    B is the plain unilateral backward shift and ytilde the vector given,
+    normally universal_vector(scalars, y, m, k): then the l = m term
+    vanishes exactly and each earlier term is a tail of scaled translates
+    of y.  An exact rational, squared for p = 2; m = 0 gives zero.
     """
-    _check_mode(mode)
-    ytilde = universal_vector(scalars, y, m, k, mode)
-    shift_space = SpaceSpec(space.p, UNILATERAL)
-    seq = ScaledIterates(scalars, BackwardShift(UnitWeights(), shift_space))
+    op = BackwardShift(UnitWeights(), SpaceSpec(space.p, UNILATERAL))
     times = [l * k for l in range(1, m + 1)]
-    worst = max(
-        (norm_key(v - y, space.p) for v in walk(seq, ytilde, times, mode)),
+    return max(
+        (norm_key(v - y, space.p) for v in walk(op, ytilde, times, scalars)),
         default=Fraction(0),
     )
-    if mode == FLOAT:
-        return float(worst)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +363,9 @@ def inverse_witness(op: Operator, x: FiniteVector, n: int, m: int) -> FiniteVect
         raise InvalidArgumentError("n and m must be positive")
     inv = invert(op)
     times = [j * n for j in range(m + 1)]
-    fwd = list(walk(Iterates(op), x, times))
+    fwd = list(walk(op, x, times))
     y = fwd[m]
-    for j, back in enumerate(walk(Iterates(inv), y, times)):
+    for j, back in enumerate(walk(inv, y, times)):
         if back != fwd[m - j]:
             raise WorkbenchError(
                 f"inverse contract failed at j = {j}: {back!r} != {fwd[m - j]!r}"
@@ -426,7 +397,6 @@ def pair_recurrence_search(
     m: int,
     a_max: int,
     q_max: int,
-    mode: str = EXACT,
 ) -> PairWitness | None:
     """Search for one (a, q) moving two points of U along V1 and V2.
 
@@ -442,13 +412,11 @@ def pair_recurrence_search(
     skipped lifts could run past the list and must raise as before),
     every a is tried.  None is inconclusive.
     """
-    _check_mode(mode)
     if m < 0:
         raise InvalidArgumentError("m must be non-negative")
     if a_max < 1 or q_max < 1:
         raise InvalidArgumentError("bounds must be positive")
-    tol = _tolerance(mode)
-    seq = Iterates(BackwardShift(weights, space))
+    op = BackwardShift(weights, space)
     y_u = U.center
     a_top = y_u.max_support()
     a_start = 1 if a_top is None else max(1, a_top + 1)
@@ -458,8 +426,8 @@ def pair_recurrence_search(
     )
     q_start = 1 if q_top is None else max(1, q_top + 1)
     linear = space.laterality == UNILATERAL and not isinstance(weights, ExplicitWeights)
-    z1_inside = _lift_sum_test(weights, V1, m, tol)
-    z2_inside = _lift_sum_test(weights, V2, m, tol)
+    z1_inside = _lift_sum_test(weights, V1, m)
+    z2_inside = _lift_sum_test(weights, V2, m)
     for q in range(q_start, q_max + 1):
         if linear and not (z1_inside(q) and z2_inside(q)):
             continue
@@ -470,10 +438,10 @@ def pair_recurrence_search(
             x2 = y_u + lift_vector(weights, z2, a)
             times = [a + j * q for j in range(m + 1)]
             ok = (
-                in_ball(x1, U, tol)
-                and in_ball(x2, U, tol)
-                and _return_gaps(seq, x1, V1, times, mode) is not None
-                and _return_gaps(seq, x2, V2, times, mode) is not None
+                in_ball(x1, U)
+                and in_ball(x2, U)
+                and _return_gaps(op, x1, V1, times) is not None
+                and _return_gaps(op, x2, V2, times) is not None
             )
             if ok:
                 return PairWitness(x1, x2, a, q, m)
@@ -507,7 +475,6 @@ def nested_ball_refinement(
     U: Ball,
     M: int,
     q_max: int,
-    mode: str = EXACT,
 ) -> NestedRefinement:
     """Drive the witness search through M shrinking balls.
 
@@ -515,21 +482,21 @@ def nested_ball_refinement(
     for a length-m witness, then recenters on that witness with half the
     radius: the quarter-radius slack is exactly what keeps both the
     containment U_m inside U_(m-1) and the stage's own returns inside
-    U_m.  The stage-M center is the approximate recurrent point.  A
-    failed stage raises stage-failure carrying the completed prefix
+    U_m.  The stage-M center is the approximate recurrent point.  Every
+    ball keeps U's slack, so the reported radii stay U's radius over 2^m.
+    A failed stage raises stage-failure carrying the completed prefix
     (inconclusive, as always).
     """
-    _check_mode(mode)
     if M < 0:
         raise InvalidArgumentError("M must be non-negative")
     stages = [NestedStage(U, None, None)]
     current = U
     for stage in range(1, M + 1):
-        probe = Ball(current.center, current.radius / 4, current.space)
-        w = multirec_witness(weights, space, probe, stage, q_max, mode)
+        probe = Ball(current.center, current.radius / 4, current.space, current.slack)
+        w = multirec_witness(weights, space, probe, stage, q_max)
         if w is None:
             raise StageFailureError(stage, tuple(stages))
-        nxt = Ball(w.x, current.radius / 2, current.space)
+        nxt = Ball(w.x, current.radius / 2, current.space, current.slack)
         stages.append(NestedStage(nxt, w.q, w))
         current = nxt
     return NestedRefinement(tuple(stages), current.center)
@@ -547,28 +514,24 @@ def joint_return_count(
     m: int,
     q: int,
     horizon: int,
-    mode: str = EXACT,
 ) -> int:
     """Count a <= horizon with lambda_a T^(a+iq) x in the ball for all i <= m.
 
     The scalar is pinned at a across the whole pattern: this unfolds
     membership of lambda_a T^a x in the intersection of the q-step
-    pull-backs of the ball.
+    pull-backs of the ball.  One walk visits only the times a + iq.
     """
-    _check_mode(mode)
     if m < 0:
         raise InvalidArgumentError("m must be non-negative")
     if q < 1:
         raise InvalidArgumentError("q must be positive")
     if horizon < 0:
         raise InvalidArgumentError("horizon must be non-negative")
-    tol = _tolerance(mode)
-    iterates = list(walk(Iterates(op), x, range(horizon + m * q + 1)))
+    times = sorted({a + i * q for a in range(horizon + 1) for i in range(m + 1)})
+    iterates = dict(zip(times, walk(op, x, times)))
     count = 0
     for a in range(horizon + 1):
-        lam = scalar_value(scalars, a, mode)
-        if all(
-            in_ball(iterates[a + i * q].scale(lam), ball, tol) for i in range(m + 1)
-        ):
+        lam = scalars.value(a)
+        if all(in_ball(iterates[a + i * q].scale(lam), ball) for i in range(m + 1)):
             count += 1
     return count

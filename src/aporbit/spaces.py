@@ -13,8 +13,12 @@ shift annihilates e_0 and negative indices are rejected.  k steps of a
 shift are one pass, with the weight product over them in closed form.
 
 Norm decisions are exact over the rationals: the l2 case compares
-squares, and open balls use strict inequality.  Instances here are
-immutable, so values can be shared freely across threads or processes.
+squares, and open balls use strict inequality, against the radius shrunk
+by the ball's slack.  `walk` gives lambda_t T^t x at the requested times
+along one orbit.  Float mode is data here: scalars wrapped in
+`DoubleScalars` and balls with a slack; nothing takes a mode.  Instances
+here are immutable, so values can be shared freely across threads or
+processes.
 """
 
 import functools
@@ -29,12 +33,6 @@ from .errors import InvalidArgumentError, ModeMismatchError
 UNILATERAL = "unilateral"
 BILATERAL = "bilateral"
 INF = math.inf
-
-#: relative slack applied to membership decisions in float mode; the
-#: effective radius shrinks by this factor so float verdicts stay on the
-#: conservative side of the exact boundary.
-FLOAT_MEMBERSHIP_TOL = Fraction(1, 10**9)
-
 
 def _coeff(value) -> Fraction:
     if isinstance(value, float):
@@ -228,44 +226,46 @@ def _check_laterality(x: FiniteVector, space: SpaceSpec, role: str) -> None:
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball; membership is strict inequality, decided exactly."""
+    """Open ball; membership is strict inequality, decided exactly.
+
+    A slack s in [0, 1) decides membership against radius*(1 - s): a ball
+    tested with approximate coefficients then admits nothing the exact
+    boundary would reject.  The radius itself is kept as given.
+    """
 
     center: FiniteVector
     radius: Fraction
     space: SpaceSpec
+    slack: Fraction = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "radius", Fraction(self.radius))
+        object.__setattr__(self, "slack", Fraction(self.slack))
         if self.radius <= 0:
             raise InvalidArgumentError("radius must be positive")
+        if not 0 <= self.slack < 1:
+            raise InvalidArgumentError("slack must lie in [0, 1)")
         _check_laterality(self.center, self.space, "ball center")
 
 
-def below_radius(n: int, d: int, ball: Ball, rel_tolerance: Fraction | None = None) -> bool:
+def below_radius(n: int, d: int, ball: Ball) -> bool:
     """The open-ball rule for a distance n/d to the center (d > 0, squared when p = 2).
 
-    Strict inequality against the radius.  With rel_tolerance (float mode)
-    the effective radius shrinks to radius*(1 - rel_tolerance), so
-    approximate coefficients never produce a membership claim the exact
-    boundary would reject; a radius shrunk to zero or below admits nothing.
+    Strict inequality against the radius, shrunk by the ball's slack.
     """
-    radius = ball.radius
-    if rel_tolerance is not None:
-        radius = radius * (1 - rel_tolerance)
-    if radius <= 0:
-        return False
+    radius = ball.radius * (1 - ball.slack) if ball.slack else ball.radius
     b, c = radius.numerator, radius.denominator
     if ball.space.p == 2:
         b, c = b * b, c * c
     return n * c < b * d
 
 
-def in_ball(x: FiniteVector, ball: Ball, rel_tolerance: Fraction | None = None) -> bool:
+def in_ball(x: FiniteVector, ball: Ball) -> bool:
     """Strict membership ||x - center||_p < radius, by the rule of `below_radius`."""
     _check_laterality(x, ball.space, "vector")
     # x - center over the lcm of the two denominators; the comparison needs no reduction
     num, den = x._plus(ball.center, -1)
-    return below_radius(*_norm_ratio(num.values(), den, ball.space.p), ball, rel_tolerance)
+    return below_radius(*_norm_ratio(num.values(), den, ball.space.p), ball)
 
 
 class WeightSpec:
@@ -641,45 +641,24 @@ class ExplicitScalars(ScalarSeq):
 
 
 @dataclass(frozen=True)
-class Iterates:
-    """The map sequence n -> T^n."""
+class DoubleScalars(ScalarSeq):
+    """The doubles nearest the inner sequence's values, embedded exactly: float mode's scalars."""
 
-    operator: Operator
+    inner: ScalarSeq
 
-
-@dataclass(frozen=True)
-class ScaledIterates:
-    """The map sequence n -> lambda_n * T^n."""
-
-    scalars: ScalarSeq
-    operator: Operator
+    def value(self, n: int) -> Fraction:
+        return Fraction(self.inner.value_float(n))
 
 
-MapSequence = Union[Iterates, ScaledIterates]
-
-
-def scalar_value(scalars: ScalarSeq, n: int, mode: str) -> Fraction:
-    """lambda_n; in float mode the double approximation, embedded exactly."""
-    if mode == "exact":
-        return scalars.value(n)
-    if mode == "float":
-        return Fraction(scalars.value_float(n))
-    raise InvalidArgumentError("mode must be 'exact' or 'float'")
-
-
-def walk(seq: MapSequence, x: FiniteVector, times, mode: str = "exact"):
-    """Yield lambda_t T^t x (or plain T^t x) for each t in times, in the order given.
+def walk(op: Operator, x: FiniteVector, times, scalars: ScalarSeq | None = None):
+    """Yield lambda_t T^t x (plain T^t x without scalars) for each t in times, in the order given.
 
     One forward walk from x serves ascending times, jumping to each in one
     `apply`; a time below the walk's position restarts it from x.  The
     scalar is applied to a copy at each time and never carried along the
     walk.  Lazy, so a caller that stops early pays only for the times it
-    consumed.  In float mode the scalar is the double approximation
-    embedded exactly into the rationals; callers deciding memberships must
-    pair this with the tolerant ball test.
+    consumed.
     """
-    op = seq.operator
-    scalars = seq.scalars if isinstance(seq, ScaledIterates) else None
     pos, v = 0, x
     for t in times:
         if t < 0:
@@ -692,18 +671,5 @@ def walk(seq: MapSequence, x: FiniteVector, times, mode: str = "exact"):
         if scalars is None:
             yield v
         else:
-            lam = scalar_value(scalars, t, mode)
+            lam = scalars.value(t)
             yield v if lam == 1 else v.scale(lam)
-
-
-def iterate(seq: MapSequence, x: FiniteVector, n: int, mode: str = "exact") -> FiniteVector:
-    """lambda_n * T^n x (or plain T^n x), computed exactly."""
-    return next(walk(seq, x, (n,), mode))
-
-
-def orbit(seq: MapSequence, x: FiniteVector, horizon: int, mode: str = "exact"):
-    """Yield (n, lambda_n * T^n x) for n = 0..horizon, along one walk."""
-    if horizon < 0:
-        raise InvalidArgumentError("horizon must be non-negative")
-    times = range(horizon + 1)
-    yield from zip(times, walk(seq, x, times, mode))

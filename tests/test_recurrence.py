@@ -13,8 +13,8 @@ from aporbit.errors import (
     WorkbenchError,
 )
 from aporbit import recurrence, spaces
+from aporbit.cli import FLOAT_SLACK
 from aporbit.recurrence import (
-    _tolerance,
     inverse_witness,
     joint_return_count,
     lift_vector,
@@ -37,22 +37,20 @@ from aporbit.spaces import (
     BackwardShift,
     Ball,
     ConstantWeights,
+    DoubleScalars,
     DyadicSqrtScalars,
     ExpSqrtScalars,
     ExplicitWeights,
     FiniteVector,
-    Iterates,
     OneScalars,
     Power,
     Scaled,
-    ScaledIterates,
     SpaceSpec,
     UnitWeights,
     ValleyWeights,
     ZERO,
     apply,
     in_ball,
-    iterate,
     norm_key,
     walk,
 )
@@ -68,14 +66,23 @@ def doubling_shift():
     return BackwardShift(W2, L1)
 
 
-def reference_iterate(seq, x, n, mode="exact"):
+def reference_iterate(op, x, n, scalars=None):
     """lambda_n T^n x by a plain loop of apply and one scale, apart from the walker."""
     for _ in range(n):
-        x = apply(seq.operator, x)
-    if isinstance(seq, Iterates):
-        return x
-    lam = seq.scalars.value(n) if mode == "exact" else Fraction(seq.scalars.value_float(n))
-    return x.scale(lam)
+        x = apply(op, x)
+    return x if scalars is None else x.scale(scalars.value(n))
+
+
+def slack(mode):
+    """The slack of the CLI's balls in mode."""
+    return FLOAT_SLACK if mode == "float" else 0
+
+
+def as_float_mode(scalars, ball, mode):
+    """The scalars and ball the CLI builds in mode: doubles and a slack ball in float mode."""
+    if mode == "exact":
+        return scalars, ball
+    return DoubleScalars(scalars), Ball(ball.center, ball.radius, ball.space, slack(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -89,40 +96,42 @@ class TestMembership:
         assert membership_gap(e(0), ball) == 0
 
     def test_verify_return_times_recomputes(self):
-        seq = Iterates(doubling_shift())
         ball = Ball(ZERO, Fraction(1, 10), L1)
-        assert verify_return_times(seq, e(5), ball, [6, 7]) == (True, True)
-        assert verify_return_times(seq, e(5), ball, [5, 6]) == (False, True)
+        assert verify_return_times(doubling_shift(), e(5), ball, [6, 7]) == (True, True)
+        assert verify_return_times(doubling_shift(), e(5), ball, [5, 6]) == (False, True)
 
+    # each case is an (operator, scalars) pair and the mode the CLI would build it in
     @pytest.mark.parametrize(
         "seq, mode",
         [
-            (Iterates(BackwardShift(ValleyWeights(2), L1)), "exact"),
-            (Iterates(Scaled(Fraction(-1, 3), BackwardShift(W2, L1_BI))), "exact"),
-            (ScaledIterates(DyadicSqrtScalars(), doubling_shift()), "exact"),
-            (ScaledIterates(DyadicSqrtScalars(), doubling_shift()), "float"),
-            (ScaledIterates(ExpSqrtScalars(), BackwardShift(UnitWeights(), L1)), "float"),
+            ((BackwardShift(ValleyWeights(2), L1), None), "exact"),
+            ((Scaled(Fraction(-1, 3), BackwardShift(W2, L1_BI)), None), "exact"),
+            ((doubling_shift(), DyadicSqrtScalars()), "exact"),
+            ((doubling_shift(), DyadicSqrtScalars()), "float"),
+            ((BackwardShift(UnitWeights(), L1), ExpSqrtScalars()), "float"),
         ],
     )
     def test_verify_return_times_matches_each_iterate(self, seq, mode):
         # unsorted times with repeats: the walk restarts from x on a smaller time
         rng = random.Random(11)
+        op, scalars = seq
         x = e(3) + e(9, Fraction(-2, 5)) + e(24, Fraction(7, 3))
-        ball = Ball(e(1, Fraction(1, 2)), Fraction(1), spaces.operator_space(seq.operator))
+        ball = Ball(e(1, Fraction(1, 2)), Fraction(1), spaces.operator_space(op))
+        scalars, ball = as_float_mode(scalars, ball, mode)
         for _ in range(5):
             times = [rng.randrange(0, 30) for _ in range(12)] + [0, 2]
             rng.shuffle(times)
             times += times[:3]
-            iterates = [reference_iterate(seq, x, n, mode) for n in times]
-            assert list(walk(seq, x, times, mode)) == iterates
-            assert [iterate(seq, x, n, mode) for n in times] == iterates
-            expected = tuple(in_ball(v, ball, _tolerance(mode)) for v in iterates)
-            assert verify_return_times(seq, x, ball, times, mode) == expected
+            iterates = [reference_iterate(op, x, n, scalars) for n in times]
+            assert list(walk(op, x, times, scalars)) == iterates
+            assert [next(walk(op, x, [n], scalars)) for n in times] == iterates
+            expected = tuple(in_ball(v, ball) for v in iterates)
+            assert verify_return_times(op, x, ball, times, scalars) == expected
             assert any(expected) and not all(expected)
 
     def test_verify_return_times_rejects_negative_time(self):
         with pytest.raises(InvalidArgumentError):
-            verify_return_times(Iterates(doubling_shift()), e(2), Ball(ZERO, 1, L1), [3, -1])
+            verify_return_times(doubling_shift(), e(2), Ball(ZERO, 1, L1), [3, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +141,37 @@ class TestMembership:
 class TestReturnSet:
     def test_annihilation_tail(self):
         # ||(2B)^n e5|| = 2^n for n <= 5, then the orbit dies
-        hits = return_set(Iterates(doubling_shift()), e(5), Ball(ZERO, Fraction(1, 10), L1), 12)
+        hits = return_set(doubling_shift(), e(5), Ball(ZERO, Fraction(1, 10), L1), 12)
         assert list(hits) == list(range(6, 13))
 
     def test_fixed_point_returns_everywhere(self):
-        hits = return_set(Iterates(doubling_shift()), ZERO, Ball(ZERO, Fraction(1), L1), 9)
+        hits = return_set(doubling_shift(), ZERO, Ball(ZERO, Fraction(1), L1), 9)
         assert list(hits) == list(range(0, 10))
 
     def test_two_layer_vector(self):
         x = e(0) + e(10, Fraction(1, 2))
-        hits = return_set(
-            Iterates(BackwardShift(UnitWeights(), L1)), x, Ball(ZERO, Fraction(1, 4), L1), 15
-        )
+        hits = return_set(BackwardShift(UnitWeights(), L1), x, Ball(ZERO, Fraction(1, 4), L1), 15)
         assert list(hits) == list(range(11, 16))
 
     def test_agrees_with_verifier(self):
-        seq = ScaledIterates(DyadicSqrtScalars(), doubling_shift())
+        scalars = DyadicSqrtScalars()
         x = e(4) + e(7, Fraction(1, 3))
         ball = Ball(ZERO, Fraction(2), L1)
-        hits = return_set(seq, x, ball, 10)
-        inside = verify_return_times(seq, x, ball, list(hits))
-        outside = verify_return_times(seq, x, ball, [n for n in range(11) if n not in hits])
+        hits = return_set(doubling_shift(), x, ball, 10, scalars)
+        inside = verify_return_times(doubling_shift(), x, ball, list(hits), scalars)
+        missed = [n for n in range(11) if n not in hits]
+        outside = verify_return_times(doubling_shift(), x, ball, missed, scalars)
         assert all(inside) and not any(outside)
 
     def test_float_mode_for_float_scalars(self):
-        seq = ScaledIterates(ExpSqrtScalars(), BackwardShift(UnitWeights(), L1))
+        op = BackwardShift(UnitWeights(), L1)
         with pytest.raises(ModeMismatchError):
-            return_set(seq, e(3), Ball(ZERO, Fraction(1), L1), 5)
-        hits = return_set(seq, e(3), Ball(ZERO, Fraction(1), L1), 5, mode="float")
+            return_set(op, e(3), Ball(ZERO, Fraction(1), L1), 5, ExpSqrtScalars())
+        scalars, ball = as_float_mode(ExpSqrtScalars(), Ball(ZERO, Fraction(1), L1), "float")
+        hits = return_set(op, e(3), ball, 5, scalars)
         assert list(hits) == [4, 5]  # e^sqrt(n) > 1 while the orbit survives
+        with pytest.raises(InvalidArgumentError):
+            return_set(op, e(3), ball, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +238,7 @@ class TestLift:
                 )
                 q = rng.randint(1, 10)
                 lifted = lift_vector(w, y, q)
-                assert iterate(Iterates(op), lifted, q) == y
+                assert apply(op, lifted, q) == y
 
     def test_candidate_layer_structure(self):
         x = multirec_candidate(W2, e(0), 3, 2)
@@ -264,9 +275,8 @@ class TestMultirec:
     def test_returned_memberships_recheck(self):
         w = multirec_witness(W2, L1, Ball(e(1), Fraction(1, 5), L1), m=2, q_max=30)
         assert w is not None
-        seq = Iterates(doubling_shift())
         times = [j * w.q for j in range(w.m + 1)]
-        assert all(verify_return_times(seq, w.x, Ball(e(1), Fraction(1, 5), L1), times))
+        assert all(verify_return_times(doubling_shift(), w.x, Ball(e(1), Fraction(1, 5), L1), times))
 
     def test_valley_search_walks_each_orbit_once(self, monkeypatch):
         # ball 3e0 of radius 27/8 first admits q = 120 at m = 2; the steps
@@ -310,6 +320,11 @@ class TestMultirec:
 # universal vectors for scaled orbits
 
 
+def universal_error(scalars, y, m, k, space):
+    """verify_universal on the universal vector built from the same inputs."""
+    return verify_universal(scalars, universal_vector(scalars, y, m, k), y, m, k, space)
+
+
 class TestUniversal:
     def test_plain_scalars_stack_basis_vectors(self):
         assert universal_vector(OneScalars(), e(0), 2, 1) == e(0) + e(1) + e(2)
@@ -323,11 +338,16 @@ class TestUniversal:
         assert v == e(0) + e(16, Fraction(1, 16)) + e(32, Fraction(1, 64))
 
     def test_verify_error_value(self):
-        err = verify_universal(DyadicSqrtScalars(), e(0), 2, 16, L1)
+        err = universal_error(DyadicSqrtScalars(), e(0), 2, 16, L1)
         assert err == Fraction(1, 4)
 
+    def test_verify_measures_the_vector_given(self):
+        # the l = 1 term alone: || lambda_1 B e_1 - e_0 ||_1 = ||2 e_0 - e_0||_1
+        assert verify_universal(DyadicSqrtScalars(), e(1), e(0), 1, 1, L1) == 1
+        assert verify_universal(OneScalars(), e(0), e(0), 0, 5, L1) == 0
+
     def test_errors_shrink_with_k(self):
-        errs = [verify_universal(DyadicSqrtScalars(), e(0), 2, k, L1) for k in (16, 64, 256)]
+        errs = [universal_error(DyadicSqrtScalars(), e(0), 2, k, L1) for k in (16, 64, 256)]
         assert errs == [Fraction(1, 4), Fraction(1, 16), Fraction(1, 128)]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
@@ -349,7 +369,7 @@ class TestUniversal:
             )
             m = rng.randint(1, 3)
             k = rng.randint((y.max_support() or 0) + 1, (y.max_support() or 0) + 12)
-            got = verify_universal(scal, y, m, k, L1)
+            got = universal_error(scal, y, m, k, L1)
             law = max(
                 sum(
                     (scal.value(l * k) / scal.value(j * k)) * y.l1()
@@ -360,10 +380,10 @@ class TestUniversal:
             assert got == law
 
     def test_float_mode_scalars(self):
-        err = verify_universal(ExpSqrtScalars(), e(0), 1, 4, L1, mode="float")
-        assert isinstance(err, float) and err == 0.0  # single surviving layer
+        err = universal_error(DoubleScalars(ExpSqrtScalars()), e(0), 1, 4, L1)
+        assert isinstance(err, Fraction) and err == 0  # single surviving layer
         with pytest.raises(ModeMismatchError):
-            verify_universal(ExpSqrtScalars(), e(0), 1, 4, L1)
+            universal_error(ExpSqrtScalars(), e(0), 1, 4, L1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +419,7 @@ class TestInverseWitness:
             )
             n, m = rng.randint(1, 4), rng.randint(1, 3)
             y = inverse_witness(op, x, n, m)
-            assert y == reference_iterate(Iterates(op), x, m * n)
+            assert y == reference_iterate(op, x, m * n)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +445,12 @@ class TestPairSearch:
         V1 = Ball(ZERO, Fraction(1, 2), L1)
         V2 = Ball(e(0), Fraction(1, 2), L1)
         w = pair_recurrence_search(W2, L1, U, V1, V2, m=1, a_max=50, q_max=50)
-        seq = Iterates(doubling_shift())
+        op = doubling_shift()
         times = [w.a + j * w.q for j in range(w.m + 1)]
-        assert all(verify_return_times(seq, w.x1, U, [0]))
-        assert all(verify_return_times(seq, w.x2, U, [0]))
-        assert all(verify_return_times(seq, w.x1, V1, times))
-        assert all(verify_return_times(seq, w.x2, V2, times))
+        assert all(verify_return_times(op, w.x1, U, [0]))
+        assert all(verify_return_times(op, w.x2, U, [0]))
+        assert all(verify_return_times(op, w.x1, V1, times))
+        assert all(verify_return_times(op, w.x2, V2, times))
 
     def test_unit_weights_exhaust(self):
         U = Ball(e(0), Fraction(1, 2), L1)
@@ -491,10 +511,9 @@ class TestNestedRefinement:
     def test_stage_returns_stay_in_stage_ball(self):
         U = Ball(e(0), Fraction(1, 2), L1)
         ref = nested_ball_refinement(W2, L1, U, M=2, q_max=64)
-        seq = Iterates(doubling_shift())
         for stage_index, stage in enumerate(ref.stages[1:], start=1):
             times = [j * stage.q for j in range(stage_index + 1)]
-            assert all(verify_return_times(seq, stage.ball.center, stage.ball, times))
+            assert all(verify_return_times(doubling_shift(), stage.ball.center, stage.ball, times))
 
     def test_failure_carries_prefix(self):
         U = Ball(e(0), Fraction(1, 2), L1)
@@ -530,6 +549,37 @@ class TestJointReturnCount:
         )
         assert n == 3  # hits at a = 0, 16, 32
 
+    def test_walks_only_the_times_it_reads(self, monkeypatch):
+        # a = 0 and 1 with q = 200 000 read times 0, 1, 200 000 and 200 001:
+        # three jumps, not 200 001 iterates
+        steps = []
+        real_apply = spaces.apply
+
+        def counting_apply(op, x, k=1):
+            steps.append(k)
+            return real_apply(op, x, k)
+
+        monkeypatch.setattr(spaces, "apply", counting_apply)
+        op = BackwardShift(UnitWeights(), L1_BI)
+        n = joint_return_count(OneScalars(), op, e(0), Ball(e(0), Fraction(1, 2), L1_BI), 1, 200_000, 1)
+        assert n == 0 and steps == [1, 199_999, 1]
+
+    def test_count_matches_the_reference_orbit(self):
+        rng = random.Random(515)
+        for _ in range(30):
+            op = rng.choice([doubling_shift(), BackwardShift(UnitWeights(), L1_BI)])
+            scalars = rng.choice([OneScalars(), DyadicSqrtScalars()])
+            x = FiniteVector({rng.randint(0, 12): Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                              for _ in range(rng.randint(0, 3))})
+            ball = Ball(ZERO, Fraction(rng.randint(1, 8), 4), spaces.operator_space(op))
+            m, q, horizon = rng.randint(0, 3), rng.randint(1, 5), rng.randint(0, 10)
+            want = sum(
+                all(in_ball(reference_iterate(op, x, a + i * q).scale(scalars.value(a)), ball)
+                    for i in range(m + 1))
+                for a in range(horizon + 1)
+            )
+            assert joint_return_count(scalars, op, x, ball, m, q, horizon) == want
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             joint_return_count(OneScalars(), doubling_shift(), ZERO, Ball(ZERO, Fraction(1), L1), -1, 1, 5)
@@ -561,7 +611,7 @@ class TestCoherence:
             x = multirec_candidate(weights, e(p), q0, m)
             for i in range(m + 1):
                 gap = membership_gap(
-                    iterate(Iterates(BackwardShift(weights, L1)), x, i * q0),
+                    apply(BackwardShift(weights, L1), x, i * q0),
                     Ball(e(p), Fraction(10**9), L1),
                 )
                 assert gap <= m * eps / a_p
@@ -575,10 +625,9 @@ class TestCoherence:
         U = Ball(e(0), Fraction(1, 4), L1)
         w = multirec_witness(W2, L1, U, m=2, q_max=100)
         x_pre = lift_vector(W2, w.x, 5)
-        seq = Iterates(doubling_shift())
         times = [5 + j * w.q for j in range(w.m + 1)]
         assert times == [5, 8, 11]
-        assert all(verify_return_times(seq, x_pre, U, times))
+        assert all(verify_return_times(doubling_shift(), x_pre, U, times))
 
     def test_transfer_survives_small_perturbation(self):
         # margin/||T||^t controls how much the pre-image may be nudged
@@ -589,22 +638,21 @@ class TestCoherence:
         top_time = 5 + w.m * w.q
         delta = margin / (2 * Fraction(2) ** top_time)
         nudged = x_pre + e(9, delta)
-        seq = Iterates(doubling_shift())
         times = [5 + j * w.q for j in range(w.m + 1)]
-        assert all(verify_return_times(seq, nudged, U, times))
+        assert all(verify_return_times(doubling_shift(), nudged, U, times))
 
     def test_rotation_keeps_even_multiples(self):
         # (-T)^(2jq) = T^(2jq): the sign cancels on even multiples of q
         U = Ball(e(0), Fraction(1, 4), L1)
         w = multirec_witness(W2, L1, U, m=2, q_max=100)
-        rotated = Iterates(Scaled(Fraction(-1), doubling_shift()))
+        rotated = Scaled(Fraction(-1), doubling_shift())
         assert all(verify_return_times(rotated, w.x, U, [0, 2 * w.q]))
 
     def test_square_power_halves_the_step(self):
         # (T^2)^(jq) = T^(2jq): the same witness returns at step q for T^2
         U = Ball(e(0), Fraction(1, 4), L1)
         w = multirec_witness(W2, L1, U, m=2, q_max=100)
-        squared = Iterates(Power(2, doubling_shift()))
+        squared = Power(2, doubling_shift())
         assert all(verify_return_times(squared, w.x, U, [0, w.q]))
 
 
@@ -617,33 +665,31 @@ class TestCoherence:
 # return the same witnesses, grids and errors on generated configs.
 
 
-def oracle_multirec(weights, space, ball, m, q_max, mode="exact"):
-    tol = _tolerance(mode)
+def oracle_multirec(weights, space, ball, m, q_max):
     y = ball.center
     top = y.max_support()
     start = 1 if top is None else max(1, top + 1)
-    seq = Iterates(BackwardShift(weights, space))
+    op = BackwardShift(weights, space)
     for q in range(start, q_max + 1):
         x = multirec_candidate(weights, y, q, m)
         times = [j * q for j in range(m + 1)]
         hits = []
-        for v in walk(seq, x, times, mode):
-            if not in_ball(v, ball, tol):
+        for v in walk(op, x, times):
+            if not in_ball(v, ball):
                 break
             hits.append(v)
         else:
-            checks = verify_return_times(seq, x, ball, times, mode)
+            checks = verify_return_times(op, x, ball, times)
             gaps = tuple(membership_gap(v, ball) for v in hits)
             return q, x, checks, gaps
     return None
 
 
-def oracle_pair(weights, space, U, V1, V2, m, a_max, q_max, mode="exact"):
-    tol = _tolerance(mode)
-    seq = Iterates(BackwardShift(weights, space))
+def oracle_pair(weights, space, U, V1, V2, m, a_max, q_max):
+    op = BackwardShift(weights, space)
 
     def returns(x, ball, times):
-        return all(in_ball(v, ball, tol) for v in walk(seq, x, times, mode))
+        return all(in_ball(v, ball) for v in walk(op, x, times))
 
     y_u = U.center
     a_top = y_u.max_support()
@@ -658,8 +704,8 @@ def oracle_pair(weights, space, U, V1, V2, m, a_max, q_max, mode="exact"):
             x2 = y_u + lift_vector(weights, z2, a)
             times = [a + j * q for j in range(m + 1)]
             if (
-                in_ball(x1, U, tol)
-                and in_ball(x2, U, tol)
+                in_ball(x1, U)
+                and in_ball(x2, U)
                 and returns(x1, V1, times)
                 and returns(x2, V2, times)
             ):
@@ -725,7 +771,8 @@ def random_radius(rng, weights, y, p, m, q_max):
     """A radius near a candidate's gap at time 0, on it, or drawn at random.
 
     A gap on the radius is a strict miss; one a part in 10^12 inside it is a
-    hit in exact mode and a miss in float mode, where the radius shrinks.
+    hit in exact mode and a miss in float mode, where the slack shrinks the
+    radius it is decided against.
     """
     pick = rng.randrange(4)
     start = 1 if y.is_zero else max(1, y.max_support() + 1)
@@ -745,9 +792,9 @@ class TestAgainstStepByStep:
         late_misses = []
         real_gaps = recurrence._return_gaps
 
-        def spy(seq, x, ball, times, mode):
-            gaps = real_gaps(seq, x, ball, times, mode)
-            if gaps is None and in_ball(x, ball, _tolerance(mode)):
+        def spy(op, x, ball, times):
+            gaps = real_gaps(op, x, ball, times)
+            if gaps is None and in_ball(x, ball):
                 late_misses.append(times)
             return gaps
 
@@ -763,9 +810,9 @@ class TestAgainstStepByStep:
             mode = rng.choice(["exact", "float"])
             q_max = rng.choice([8, 30, 130]) if isinstance(weights, ValleyWeights) else rng.randint(1, 30)
             y = random_center(rng, laterality, 6)
-            ball = Ball(y, random_radius(rng, weights, y, p, m, q_max), space)
-            want = outcome(oracle_multirec, weights, space, ball, m, q_max, mode)
-            got = outcome(multirec_witness, weights, space, ball, m, q_max, mode)
+            ball = Ball(y, random_radius(rng, weights, y, p, m, q_max), space, slack(mode))
+            want = outcome(oracle_multirec, weights, space, ball, m, q_max)
+            got = outcome(multirec_witness, weights, space, ball, m, q_max)
             if isinstance(got, tuple):
                 errors += 1
                 assert got == want
@@ -822,10 +869,10 @@ class TestAgainstStepByStep:
             balls = []
             for _ in range(3):
                 y = random_center(rng, laterality, 3)
-                balls.append(Ball(y, random_radius(rng, weights, y, p, m, 8), space))
+                balls.append(Ball(y, random_radius(rng, weights, y, p, m, 8), space, slack(mode)))
             a_max, q_max = rng.randint(1, 12), rng.randint(1, 12)
-            want = outcome(oracle_pair, weights, space, *balls, m, a_max, q_max, mode)
-            got = outcome(pair_recurrence_search, weights, space, *balls, m, a_max, q_max, mode)
+            want = outcome(oracle_pair, weights, space, *balls, m, a_max, q_max)
+            got = outcome(pair_recurrence_search, weights, space, *balls, m, a_max, q_max)
             if isinstance(got, tuple):
                 errors += 1
                 assert got == want

@@ -3,9 +3,11 @@
 Each case pins one report byte for byte, so a change that alters any
 report, down to a key order or a trailing newline, fails here.  The cases
 cover every subcommand, the four exhausted-search payloads (in JSON and
-CSV), float mode, a schema error, a flag that is not JSON, one past
-Python's digit limit, and explicit weights that run out mid-search.  After an intended report change, re-pin a case
-with `report_digest`.
+CSV), float mode (with balls a part in 10^12 from a gap, where float
+and exact mode pick different steps), a schema error, a flag that is not
+JSON, one past Python's digit limit, and explicit weights that run out
+mid-search.  After an intended report change, re-pin a case with
+`report_digest`.
 """
 
 import hashlib
@@ -287,6 +289,52 @@ CASES = {
          "--a-max", "30", "--q-max", "30"],
         0,
         "62680958adcca752a9fbca71bc939934ba363563d17a6d484006cc2a66f0ab45",
+    ),
+    # stage 1's probe radius is a part in 10^12 above the q = 3 gap 1/8:
+    # float mode's slack rejects it and takes q = 4 (exact mode takes q = 3)
+    "nested-float-near-boundary": (
+        ["nested", "--mode", "float", "--weights", CONST2,
+         "--ball", '{"center": "e0", "radius": "125000000001/250000000000"}',
+         "--stages", "2", "--q-max", "64"],
+        0,
+        "41340c0907409c08c8a324f7924e58c3743501faad6026f9ad8a30b9883f010e",
+    ),
+    # stage 2's probe radius is a part in 10^12 above its q = 4 gap 153/2048:
+    # float mode takes q = 5 there (exact mode takes q = 4)
+    "nested-float-near-boundary-stage-2": (
+        ["nested", "--mode", "float", "--weights", CONST2,
+         "--ball", '{"center": "e0", "radius": "153000000000153/256000000000000"}',
+         "--stages", "2", "--q-max", "64"],
+        0,
+        "55db588b0076ae336673bc262a32f75ea215b46b37840d7d0a58d9364cbf32c0",
+    ),
+    # V1 sits a part in 10^12 outside the q = 3 gap and U outside the
+    # a = 2 gap at q = 4: float mode takes (a, q) = (3, 4), exact mode (3, 3)
+    "pair-search-float-near-boundary-u-v1": (
+        ["pair-search", "--mode", "float", "--weights", CONST2,
+         "--u", '{"center": "e0", "radius": "17000000000017/64000000000000"}',
+         "--v1", '{"center": "e0", "radius": "125000000001/1000000000000"}',
+         "--v2", '{"center": [], "radius": "1/2"}', "--m", "1", "--a-max", "10", "--q-max", "10"],
+        0,
+        "87ec157671d8eeb0810b76cb02c4f2340c4e0d7e833f847cb384a87cbb71287e",
+    ),
+    # the same for V2: float mode takes q = 4, exact mode q = 3
+    "pair-search-float-near-boundary-v2": (
+        ["pair-search", "--mode", "float", "--weights", CONST2,
+         "--u", '{"center": "e0", "radius": "1/2"}', "--v1", '{"center": [], "radius": "1/2"}',
+         "--v2", '{"center": "e0", "radius": "125000000001/1000000000000"}', "--m", "1",
+         "--a-max", "10", "--q-max", "10"],
+        0,
+        "fa8a53cb94f738cde2620b55964728efec366d185e4c6a81d61f1d1b7aaa98c6",
+    ),
+    # the first point is multirec-float-near-boundary's: q = 4, where exact mode takes 3
+    "sweep-multirec-float": (
+        ["sweep", "--mode", "float", "--command", "multirec", "--grid",
+         '{"weights": [' + CONST2 + '], "ball": [{"center": "e0", "radius": '
+         '"125000000001/1000000000000"}, {"center": [[0,1,1],[1,-1,2]], "radius": "1/2", '
+         '"p": 2}], "m": [1, 2], "q_max": [10]}'],
+        0,
+        "edd818676712e53a5a3f087ab8330370c80e9c86fc2dd9c71106033495eb21fb",
     ),
 }
 

@@ -9,23 +9,21 @@ import pytest
 from aporbit.errors import InvalidArgumentError, ModeMismatchError
 from aporbit.spaces import (
     BILATERAL,
-    FLOAT_MEMBERSHIP_TOL,
     INF,
     UNILATERAL,
     BackwardShift,
     Ball,
     ConstantWeights,
     DirectSum,
+    DoubleScalars,
     DyadicSqrtScalars,
     ExplicitScalars,
     ExplicitWeights,
     ExpSqrtScalars,
     FiniteVector,
     ForwardShift,
-    Iterates,
     OneScalars,
     Power,
-    ScaledIterates,
     Scaled,
     SpaceSpec,
     UnitWeights,
@@ -34,11 +32,10 @@ from aporbit.spaces import (
     apply,
     in_ball,
     invert,
-    iterate,
     operator_space,
-    orbit,
     walk,
 )
+from aporbit.cli import FLOAT_SLACK
 
 L1 = SpaceSpec(1, UNILATERAL)
 L2 = SpaceSpec(2, UNILATERAL)
@@ -154,12 +151,21 @@ class TestBall:
         assert in_ball(v, Ball(ZERO, Fraction(3, 5) + Fraction(1, 10**12), L2))
 
     def test_tolerance_shrinks_the_ball(self):
-        # a point just inside the exact ball fails the guarded test
-        tol = Fraction(1, 10**9)
+        # a point just inside the exact ball fails with a slack; the radius stays as given
+        slack = Fraction(1, 10**9)
         r = Fraction(1)
-        x = e(0, r * (1 - tol / 2))
+        x = e(0, r * (1 - slack / 2))
         assert in_ball(x, Ball(ZERO, r, L1))
-        assert not in_ball(x, Ball(ZERO, r, L1), rel_tolerance=tol)
+        guarded = Ball(ZERO, r, L1, slack)
+        assert not in_ball(x, guarded) and guarded.radius == r
+        assert in_ball(e(0, r * (1 - 2 * slack)), guarded)
+
+    def test_slack_outside_unit_interval_rejected(self):
+        for slack in (Fraction(-1, 10**9), 1, Fraction(3, 2)):
+            with pytest.raises(InvalidArgumentError):
+                Ball(ZERO, Fraction(1), L1, slack)
+        assert Ball(ZERO, Fraction(1), L1, Fraction(999, 1000)).slack == Fraction(999, 1000)
+        assert Ball(ZERO, Fraction(1), L1).slack == 0
 
 
 # ---------------------------------------------------------------------------
@@ -454,74 +460,73 @@ class TestScalars:
 
 class TestIterate:
     def test_annihilation_after_support(self):
-        seq = Iterates(BackwardShift(ConstantWeights(Fraction(2)), L1))
-        assert iterate(seq, e(5), 6) == ZERO
+        assert apply(BackwardShift(ConstantWeights(Fraction(2)), L1), e(5), 6) == ZERO
 
     def test_scaled_iterates_example(self):
-        seq = ScaledIterates(DyadicSqrtScalars(), BackwardShift(UnitWeights(), L1))
-        assert iterate(seq, e(4), 4) == e(0, 4)
+        op = BackwardShift(UnitWeights(), L1)
+        assert list(walk(op, e(4), [4], DyadicSqrtScalars())) == [e(0, 4)]
 
     def test_power_operator_iterates(self):
-        seq = Iterates(Power(2, BackwardShift(UnitWeights(), L1)))
-        assert iterate(seq, e(4), 1) == e(2)
+        assert apply(Power(2, BackwardShift(UnitWeights(), L1)), e(4), 1) == e(2)
 
     def test_index_zero_is_identity(self):
         x = e(2) + e(5, Fraction(1, 3))
-        assert iterate(Iterates(BackwardShift(UnitWeights(), L1)), x, 0) == x
-        seq = ScaledIterates(DyadicSqrtScalars(), BackwardShift(UnitWeights(), L1))
-        assert iterate(seq, x, 0) == x  # lambda_0 := 1
+        op = BackwardShift(UnitWeights(), L1)
+        assert apply(op, x, 0) == x
+        assert list(walk(op, x, [0], DyadicSqrtScalars())) == [x]  # lambda_0 := 1
 
     def test_semigroup_property(self):
         rng = random.Random(6)
-        seq = Iterates(BackwardShift(ConstantWeights(Fraction(3, 2)), L1))
         op = BackwardShift(ConstantWeights(Fraction(3, 2)), L1)
         for _ in range(25):
             x = random_vector(rng)
             a, b = rng.randint(0, 6), rng.randint(0, 6)
-            assert iterate(seq, iterate(seq, x, b), a) == iterate(seq, x, a + b)
-            assert iterate(seq, x, 1) == apply(op, x)
+            assert apply(op, apply(op, x, b), a) == apply(op, x, a + b)
+            assert list(walk(op, x, [b, a + b])) == [apply(op, x, b), apply(op, x, a + b)]
+            assert apply(op, x, 1) == apply(op, x)
 
     def test_power_coherence(self):
         rng = random.Random(8)
         base = BackwardShift(ConstantWeights(Fraction(2)), L1)
         for p in (1, 2, 3):
-            seq_pow = Iterates(Power(p, base))
-            seq = Iterates(base)
             for _ in range(10):
                 x = random_vector(rng)
                 n = rng.randint(0, 4)
-                assert iterate(seq_pow, x, n) == iterate(seq, x, p * n)
+                assert apply(Power(p, base), x, n) == apply(base, x, p * n)
 
     def test_float_mode_on_exact_scalars_matches(self):
-        seq = ScaledIterates(DyadicSqrtScalars(), BackwardShift(UnitWeights(), L1))
-        exact = iterate(seq, e(4), 4, mode="exact")
-        lax = iterate(seq, e(4), 4, mode="float")
+        op = BackwardShift(UnitWeights(), L1)
+        exact = list(walk(op, e(4), [4], DyadicSqrtScalars()))
+        lax = list(walk(op, e(4), [4], DoubleScalars(DyadicSqrtScalars())))
         assert exact == lax
 
     def test_exp_sqrt_requires_float_mode(self):
-        seq = ScaledIterates(ExpSqrtScalars(), BackwardShift(UnitWeights(), L1))
+        op = BackwardShift(UnitWeights(), L1)
         with pytest.raises(ModeMismatchError):
-            iterate(seq, e(4), 2, mode="exact")
-        v = iterate(seq, e(4), 2, mode="float")
+            list(walk(op, e(4), [2], ExpSqrtScalars()))
+        (v,) = walk(op, e(4), [2], DoubleScalars(ExpSqrtScalars()))
         assert v.support() == (2,)
+        assert v.coefficient(2) == Fraction(math.exp(math.sqrt(2)))
 
     def test_negative_index_rejected(self):
-        seq = Iterates(BackwardShift(UnitWeights(), L1))
+        op = BackwardShift(UnitWeights(), L1)
         with pytest.raises(InvalidArgumentError):
-            iterate(seq, e(0), -1)
+            apply(op, e(0), -1)
+        with pytest.raises(InvalidArgumentError):
+            list(walk(op, e(0), [-1]))
 
 
 class TestOrbit:
     def test_orbit_matches_fresh_iterates(self):
-        seq = ScaledIterates(DyadicSqrtScalars(), BackwardShift(ConstantWeights(Fraction(2)), L1))
+        op = BackwardShift(ConstantWeights(Fraction(2)), L1)
+        scalars = DyadicSqrtScalars()
         x = e(5) + e(9, Fraction(1, 7))
-        for n, v in orbit(seq, x, horizon=12):
-            assert v == iterate(seq, x, n)
+        for n, v in enumerate(walk(op, x, range(13), scalars)):
+            assert v == apply(op, x, n).scale(scalars.value(n))
 
     def test_orbit_yields_every_index(self):
-        seq = Iterates(BackwardShift(UnitWeights(), L1))
-        seen = [n for n, _ in orbit(seq, e(3), horizon=7)]
-        assert seen == list(range(8))
+        op = BackwardShift(UnitWeights(), L1)
+        assert list(walk(op, e(3), range(8))) == [apply(op, e(3), n) for n in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +651,11 @@ class TestDifferentialKernel:
             refs = [ref]
             for _ in times[1:]:
                 refs.append(ref_apply(op, refs[-1]))
-            plain = list(walk(Iterates(op), x, times))
-            scaled = list(walk(ScaledIterates(scalars, op), x, times, mode))
+            slack_ball = Ball(ball.center, ball.radius, space, FLOAT_SLACK)
+            if mode == "float":
+                scalars = DoubleScalars(scalars)
+            plain = list(walk(op, x, times))
+            scaled = list(walk(op, x, times, scalars))
             for t in times:
                 v, want = plain[t], refs[t]
                 assert_canonical(v)
@@ -655,15 +663,22 @@ class TestDifferentialKernel:
                 assert v == FiniteVector(want) and hash(v) == hash(FiniteVector(want))
                 if t:
                     assert apply(op, plain[t - 1]) == v
-                lam = scalars.value(t) if mode == "exact" else Fraction(scalars.value_float(t))
+                lam = scalars.value(t) if mode == "exact" else Fraction(scalars.inner.value_float(t))
                 scaled_ref = {n: c * lam for n, c in want.items()}
                 assert_canonical(scaled[t])
                 assert as_dict(scaled[t]) == scaled_ref
                 assert (v.l1(), v.l2_squared(), v.sup()) == tuple(ref_norm(want, p) for p in (1, 2, INF))
-                tol = FLOAT_MEMBERSHIP_TOL if mode == "float" else None
-                radius = ball.radius * (1 - tol) if tol else ball.radius
-                gap = ref_norm(ref_sub(scaled_ref, center), space.p)
-                assert in_ball(scaled[t], ball, tol) == (gap < (radius**2 if space.p == 2 else radius))
+                # ||v - c|| < r for the exact ball, < r * (1 - 10^-9) for the slack ball
+                shrunk = ball.radius * (1 - Fraction(1, 10**9))
+                for vec, vec_ref in ((v, want), (scaled[t], scaled_ref)):
+                    gap = ref_norm(ref_sub(vec_ref, center), space.p)
+                    for b, radius in ((ball, ball.radius), (slack_ball, shrunk)):
+                        assert in_ball(vec, b) == (gap < (radius**2 if space.p == 2 else radius))
+                    if gap and space.p != 2:
+                        # a part in 10^12 outside the gap: inside exactly, outside with the slack
+                        near = gap * (1 + Fraction(1, 10**12))
+                        assert in_ball(vec, Ball(ball.center, near, space))
+                        assert not in_ball(vec, Ball(ball.center, near, space, FLOAT_SLACK))
                 diff = scaled[t] - ball.center
                 assert_canonical(diff)
                 assert as_dict(diff) == ref_sub(scaled_ref, center)
@@ -702,11 +717,11 @@ class TestDifferentialKernel:
                     assert str(caught.value) == failure[2]
             for times in ((0, 5, 17), (17, 5), (3, 3, 12)):
                 if failure is None or max(times) < failure[0]:
-                    got = [as_dict(v) for v in walk(Iterates(op), x, times)]
+                    got = [as_dict(v) for v in walk(op, x, times)]
                     assert got == [steps[t] for t in times]
                 else:
                     with pytest.raises(failure[1]) as caught:
-                        list(walk(Iterates(op), x, times))
+                        list(walk(op, x, times))
                     assert str(caught.value) == failure[2]
             if bilateral and any(n < 0 for n in ref):
                 seen.add("negative indices")

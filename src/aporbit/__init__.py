@@ -2,8 +2,9 @@
 
 Exact rational orbits and return sets, arithmetic-progression structure
 of integer sets, constructive recurrence witness searches, and the
-iterated-logarithm growth table — all decisions exact unless a float
-mode is explicitly requested.
+iterated-logarithm growth table.  Every decision is exact; the library
+takes no mode.  The command line's float mode hands it double-valued
+scalars (`DoubleScalars`) and balls with a slack, decided exactly too.
 """
 
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
 )
 from .families import (
     APWitness,
-    ColoringResult,
     DensityEstimate,
     HitSet,
     coloring_avoids_progressions,
@@ -43,15 +43,12 @@ from .gowers import (
     profile_inverse,
 )
 from .recurrence import (
-    CriterionReport,
-    NestedRefinement,
     NestedStage,
     PairWitness,
     RecurrenceWitness,
     inverse_witness,
     joint_return_count,
     lift_vector,
-    membership_gap,
     multirec_candidate,
     multirec_witness,
     nested_ball_refinement,
@@ -84,6 +81,7 @@ from .spaces import (
     UnitWeights,
     ValleyWeights,
     apply,
+    gap,
     in_ball,
     invert,
     operator_space,

@@ -70,11 +70,12 @@ from .serialize import (
     vector_to_json,
 )
 from .spaces import (
+    INF,
     UNILATERAL,
     Ball,
     DoubleScalars,
     OneScalars,
-    SpaceSpec,
+    norm_key,
     operator_space,
     walk,
 )
@@ -141,8 +142,9 @@ def _resolve_m(config, path="$", default=None):
     raise SchemaError(path, "missing m (extra returns) or length (term count)")
 
 
-def _parse_space(config, path="$"):
-    return SpaceSpec(parse_p(config.get("p", 1), f"{path}.p"), UNILATERAL)
+def _config_p(config):
+    """The config's top-level p, checked: 1 when absent."""
+    return parse_p(config.get("p", 1), "$.p")
 
 
 def _parse_set_values(config, path="$"):
@@ -242,7 +244,7 @@ def run_analyze_set(config, mode):
             "lower_proxy": format_fraction(dens.lower_proxy),
             "upper_proxy": format_fraction(dens.upper_proxy),
             "banach_upper_proxy": format_fraction(dens.banach_upper_proxy),
-            "window": dens.window,
+            "window": window,
         },
     )
 
@@ -260,7 +262,7 @@ def run_orbit(config, mode):
     csv_rows = []
     times = range(horizon + 1)
     for n, v in zip(times, walk(op, x, times, scalars)):
-        l1, l2sq, sup = v.l1(), v.l2_squared(), v.sup()
+        l1, l2sq, sup = (norm_key(v, p) for p in (1, 2, INF))
         rows.append(
             {
                 "n": n,
@@ -296,7 +298,7 @@ def run_return_set(config, mode):
 
 def run_shift_check(config, mode):
     weights = parse_weights(config.get("weights"), "$.weights")
-    space = _parse_space(config)
+    _config_p(config)
     if "epsilon" not in config:
         raise SchemaError("$.epsilon", "missing required rational")
     epsilon = parse_fraction(config["epsilon"], "$.epsilon")
@@ -306,28 +308,28 @@ def run_shift_check(config, mode):
     p_max = _bound(config, "p_max", 3, bounds, minimum=0)
     m_max = _bound(config, "m_max", 3, bounds, minimum=1)
     q_max = _bound(config, "q_max", 100, bounds, minimum=1)
-    report = shift_ap_criterion(weights, space, epsilon, p_max, m_max, q_max)
+    grid = shift_ap_criterion(weights, epsilon, p_max, m_max, q_max)
     cells = [
-        {"p": p, "m": m, "q": report.grid[(p, m)]}
+        {"p": p, "m": m, "q": grid[(p, m)]}
         for p in range(p_max + 1)
         for m in range(1, m_max + 1)
     ]
     header = ("p", "m", "q")
     rows = [(c["p"], c["m"], "" if c["q"] is None else c["q"]) for c in cells]
-    fields = {"epsilon": format_fraction(report.epsilon), "grid": cells}
-    if not report.fully_populated:
+    fields = {"epsilon": format_fraction(epsilon), "grid": cells}
+    if None in grid.values():
         return _exhausted(bounds, header, rows, **fields)
     return _settled(header, rows, "witness", bounds=bounds, **fields)
 
 
 def run_multirec(config, mode):
     weights = parse_weights(config.get("weights"), "$.weights")
-    space = _parse_space(config)
-    ball = _ball(config, "ball", space.laterality, mode)
+    _config_p(config)
+    ball = _ball(config, "ball", UNILATERAL, mode)
     m = _resolve_m(config)
     bounds = {}
     q_max = _bound(config, "q_max", 100, bounds)
-    witness = multirec_witness(weights, space, ball, m, q_max)
+    witness = multirec_witness(weights, ball, m, q_max)
     if witness is None:
         return _exhausted(bounds, ("j", "time", "distance"), m=m)
     distances = [_fr(d, mode) for d in witness.distances]
@@ -354,9 +356,9 @@ def run_universal(config, mode):
     y = parse_vector(config.get("y"), "$.y")
     m = _expect_int(config, "m", minimum=0)
     k = _expect_int(config, "k", minimum=1)
-    space = _parse_space(config)
+    p = _config_p(config)
     ytilde = universal_vector(scalars, y, m, k)
-    error = _fr(verify_universal(scalars, ytilde, y, m, k, space), mode)
+    error = _fr(verify_universal(scalars, ytilde, y, m, k, p), mode)
     return _settled(
         ("m", "k", "error"),
         [(m, k, error)],
@@ -427,31 +429,31 @@ def run_vdw(config, mode):
     k = _k(config)
     bounds = {}
     budget = _bound(config, "budget", 12, bounds)
-    result = vdw_check(n, k, budget)
+    coloring = vdw_check(n, k, budget)
+    forced = coloring is None
     return _settled(
         ("n", "k", "forced", "coloring"),
-        [(n, k, result.forced, result.coloring or "")],
-        verified=result.coloring is None
-        or coloring_avoids_progressions(result.coloring, k),
+        [(n, k, forced, coloring or "")],
+        verified=forced or coloring_avoids_progressions(coloring, k),
         bounds=bounds,
         n=n,
         k=k,
-        forced=result.forced,
-        coloring=result.coloring,
+        forced=forced,
+        coloring=coloring,
     )
 
 
 def run_pair_search(config, mode):
     weights = parse_weights(config.get("weights"), "$.weights")
-    space = _parse_space(config)
-    U = _ball(config, "u", space.laterality, mode)
-    V1 = _ball(config, "v1", space.laterality, mode)
-    V2 = _ball(config, "v2", space.laterality, mode)
+    _config_p(config)
+    U = _ball(config, "u", UNILATERAL, mode)
+    V1 = _ball(config, "v1", UNILATERAL, mode)
+    V2 = _ball(config, "v2", UNILATERAL, mode)
     m = _resolve_m(config)
     bounds = {}
     a_max = _bound(config, "a_max", 50, bounds)
     q_max = _bound(config, "q_max", 50, bounds)
-    witness = pair_recurrence_search(weights, space, U, V1, V2, m, a_max, q_max)
+    witness = pair_recurrence_search(weights, U, V1, V2, m, a_max, q_max)
     if witness is None:
         return _exhausted(bounds, ("a", "q", "m"), m=m)
     return _settled(
@@ -471,9 +473,9 @@ def run_pair_search(config, mode):
 
 def run_nested(config, mode):
     weights = parse_weights(config.get("weights"), "$.weights")
-    space = _parse_space(config)
-    ball = _ball(config, "ball", space.laterality, mode)
-    stages = _expect_int(config, "stages", minimum=0)
+    _config_p(config)
+    ball = _ball(config, "ball", UNILATERAL, mode)
+    count = _expect_int(config, "stages", minimum=0)
     bounds = {}
     q_max = _bound(config, "q_max", 100, bounds)
 
@@ -482,11 +484,11 @@ def run_nested(config, mode):
             "stage": index,
             "center": vector_to_json(st.ball.center),
             "radius": format_fraction(st.ball.radius),
-            "q": st.q,
+            "q": None if st.witness is None else st.witness.q,
         }
 
     try:
-        refinement = nested_ball_refinement(weights, space, ball, stages, q_max)
+        stages = nested_ball_refinement(weights, ball, count, q_max)
     except StageFailureError as exc:
         return _exhausted(
             bounds,
@@ -494,7 +496,7 @@ def run_nested(config, mode):
             failed_stage=exc.stage,
             stages=[stage_json(st, i) for i, st in enumerate(exc.completed)],
         )
-    stage_list = [stage_json(st, i) for i, st in enumerate(refinement.stages)]
+    stage_list = [stage_json(st, i) for i, st in enumerate(stages)]
     csv_rows = [
         (s["stage"], "" if s["q"] is None else s["q"], s["radius"])
         for s in stage_list
@@ -503,10 +505,10 @@ def run_nested(config, mode):
         ("stage", "q", "radius"),
         csv_rows,
         "witness",
-        all(st.witness.verified for st in refinement.stages[1:]),
+        all(st.witness.verified for st in stages[1:]),
         bounds=bounds,
         stages=stage_list,
-        point=vector_to_json(refinement.point),
+        point=vector_to_json(stages[-1].ball.center),
     )
 
 

@@ -192,8 +192,6 @@ class DensityEstimate:
     lower_proxy: Fraction
     upper_proxy: Fraction
     banach_upper_proxy: Fraction
-    horizon: int
-    window: int
 
 
 def density_report(hits: HitSet, window: int) -> DensityEstimate:
@@ -226,8 +224,6 @@ def density_report(hits: HitSet, window: int) -> DensityEstimate:
         lower_proxy=Fraction(lo_num, lo_den),
         upper_proxy=Fraction(hi_num, hi_den) if hi_den else Fraction(0),
         banach_upper_proxy=Fraction(best, window),
-        horizon=h,
-        window=window,
     )
 
 
@@ -315,21 +311,13 @@ def szemeredi_r_naive(n: int, k: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class ColoringResult:
-    """Outcome of an exhaustive two-coloring scan.
+def vdw_check(n: int, k: int, budget: int = 12) -> str | None:
+    """The first two-coloring of {1..n} with no monochromatic k-progression, or None.
 
-    forced=True means every coloring of {1..n} has a monochromatic
-    k-progression (an exhaustively verified fact, not a table lookup);
-    otherwise `coloring` holds the first progression-free coloring in
-    lexicographic order, element i at string position i-1.
+    The scan is exhaustive, in lexicographic order, element i at string
+    position i-1.  None means every coloring has one: the progression is
+    forced (an exhaustively verified fact, not a table lookup).
     """
-
-    forced: bool
-    coloring: str | None
-
-
-def vdw_check(n: int, k: int, budget: int = 12) -> ColoringResult:
     if n < 1:
         raise InvalidArgumentError("n must be positive")
     if k < 2:
@@ -345,9 +333,8 @@ def vdw_check(n: int, k: int, budget: int = 12) -> ColoringResult:
                 good = False
                 break
         if good:
-            coloring = "".join("1" if bits >> i & 1 else "0" for i in range(n))
-            return ColoringResult(False, coloring)
-    return ColoringResult(True, None)
+            return "".join("1" if bits >> i & 1 else "0" for i in range(n))
+    return None
 
 
 def coloring_avoids_progressions(coloring: str, k: int) -> bool:

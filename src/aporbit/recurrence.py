@@ -18,10 +18,12 @@ closed form (on the bilateral side it can still miss, and the search goes
 on).  A `None` / raised stage failure is *inconclusive* — it never refutes
 the corresponding unbounded statement.
 
-Distances are reported as exact rationals; in the l2 case the squared
-distance is reported so no irrational square root is ever taken.  Nothing
-here takes a mode: float mode arrives as `DoubleScalars` and balls with a
-slack, which every membership decision honours.
+Distances are `spaces.gap`, the one distance that also decides each
+membership, reported as exact rationals; in the l2 case the squared
+distance is reported so no irrational square root is ever taken.  The
+searches take their side (unilateral or bilateral) from their balls.
+Nothing here takes a mode: float mode arrives as `DoubleScalars` and balls
+with a slack, which every membership decision honours.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ from .spaces import (
     UnitWeights,
     WeightSpec,
     below_radius,
+    gap,
     in_ball,
     invert,
     norm_key,
@@ -49,21 +52,17 @@ from .spaces import (
 )
 
 
-def membership_gap(x: FiniteVector, ball: Ball) -> Fraction:
-    """Exact distance from x to the ball's center (squared when p = 2)."""
-    return norm_key(x - ball.center, ball.space.p)
-
-
 def _return_gaps(
     op: Operator, x: FiniteVector, ball: Ball, times
 ) -> tuple[Fraction, ...] | None:
-    """The membership_gap of each iterate, or None at the first miss (one walk)."""
-    hits = []
+    """Each iterate's distance to the ball's center, or None at the first miss (one walk)."""
+    gaps = []
     for v in walk(op, x, times):
-        if not in_ball(v, ball):
+        n, d = gap(v, ball)
+        if not below_radius(n, d, ball):
             return None
-        hits.append(v)
-    return tuple(membership_gap(v, ball) for v in hits)
+        gaps.append(Fraction(n, d))
+    return tuple(gaps)
 
 
 def verify_return_times(
@@ -102,45 +101,22 @@ def return_set(
 # AP criterion for weighted backward shifts
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    """Grid of smallest verified steps for the basis-decay condition.
-
-    grid maps (offset p, length m) to the smallest q such that the
-    basis-lift size a_(jq+p') stays at or below epsilon for every
-    1 <= j <= m and every offset p' <= p; None marks an exhausted (and
-    therefore inconclusive) cell.  The comparison is boundary-inclusive:
-    a graded family whose deepest basis size equals epsilon exactly
-    still certifies the cell.
-    """
-
-    grid: dict
-    epsilon: Fraction
-    bounds: tuple[int, int, int]
-
-    @property
-    def fully_populated(self) -> bool:
-        return all(q is not None for q in self.grid.values())
-
-    def cell(self, p: int, m: int) -> int | None:
-        return self.grid[(p, m)]
-
-
 def shift_ap_criterion(
     weights: WeightSpec,
-    space: SpaceSpec,
     epsilon: Fraction,
     p_max: int,
     m_max: int,
     q_max: int,
-) -> CriterionReport:
-    """Search each (p, m) cell for the smallest uniform step q <= q_max.
+) -> dict[tuple[int, int], int | None]:
+    """The grid (offset p, length m) -> smallest uniform step q <= q_max, or None.
 
     A cell (p, m) is certified by q when every index jq + p' with
     1 <= j <= m and 0 <= p' <= p has basis-lift size <= epsilon, so one
-    q serves all smaller offsets at once.  A fully populated grid is
+    q serves all smaller offsets at once.  The comparison is
+    boundary-inclusive: a graded family whose deepest basis size equals
+    epsilon exactly still certifies the cell.  A fully populated grid is
     finite evidence for the decay condition, never a proof of the limit
-    statement; any None cell is inconclusive.
+    statement; a None cell is exhausted, and so inconclusive.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -172,7 +148,7 @@ def shift_ap_criterion(
                         found = q
                         break
             grid[(p, m)] = found
-    return CriterionReport(grid, eps, (p_max, m_max, q_max))
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +234,6 @@ class RecurrenceWitness:
 
 def multirec_witness(
     weights: WeightSpec,
-    space: SpaceSpec,
     ball: Ball,
     m: int,
     q_max: int,
@@ -266,7 +241,7 @@ def multirec_witness(
     """Search steps q <= q_max for a lift-sum witness with m+1 verified returns.
 
     Candidates use steps beyond the center's support, so the backward
-    shift strips the lifted layers one at a time and the final iterate
+    shift, on the ball's side, strips the lifted layers one at a time and the final iterate
     reproduces the center exactly.  A step q is rejected from the closed
     form of ||x - y|| (see the module docstring); where the layers overlap
     (a bilateral center whose span reaches q), x is built and tested as
@@ -283,7 +258,7 @@ def multirec_witness(
     top = y.max_support()
     start = 1 if top is None else max(1, top + 1)
     span = 0 if top is None else top - y.min_support()
-    op = BackwardShift(weights, space)
+    op = BackwardShift(weights, ball.space)
     lift_sum_inside = _lift_sum_test(weights, ball, m)
     for q in range(start, q_max + 1):
         if q > span and not lift_sum_inside(q):
@@ -331,7 +306,7 @@ def verify_universal(
     y: FiniteVector,
     m: int,
     k: int,
-    space: SpaceSpec,
+    p,
 ) -> Fraction:
     """max over 1 <= l <= m of || lambda_(lk) B^(lk) ytilde  -  y ||.
 
@@ -340,10 +315,10 @@ def verify_universal(
     vanishes exactly and each earlier term is a tail of scaled translates
     of y.  An exact rational, squared for p = 2; m = 0 gives zero.
     """
-    op = BackwardShift(UnitWeights(), SpaceSpec(space.p, UNILATERAL))
+    op = BackwardShift(UnitWeights(), SpaceSpec(p, UNILATERAL))
     times = [l * k for l in range(1, m + 1)]
     return max(
-        (norm_key(v - y, space.p) for v in walk(op, ytilde, times, scalars)),
+        (norm_key(v - y, p) for v in walk(op, ytilde, times, scalars)),
         default=Fraction(0),
     )
 
@@ -390,7 +365,6 @@ class PairWitness:
 
 def pair_recurrence_search(
     weights: WeightSpec,
-    space: SpaceSpec,
     U: Ball,
     V1: Ball,
     V2: Ball,
@@ -403,7 +377,7 @@ def pair_recurrence_search(
     Candidates stack two lifts: an inner lift-sum z_i toward each V_i
     center (as in multirec_witness) and an outer a-step lift that parks
     the whole packet beyond U's center: x_i = y_U + L_a z_i.  Smallest
-    (q, a) wins.  On the unilateral side a passes y_U's support, so
+    (q, a) wins.  The shift acts on U's side.  On the unilateral side a passes y_U's support, so
     B^a x_i = z_i and the V_i returns depend on q alone: a step q whose z1
     or z2 misses its ball at time 0 is skipped whole, decided from the
     closed form of multirec_witness.  For the rest, the first a with both
@@ -416,7 +390,7 @@ def pair_recurrence_search(
         raise InvalidArgumentError("m must be non-negative")
     if a_max < 1 or q_max < 1:
         raise InvalidArgumentError("bounds must be positive")
-    op = BackwardShift(weights, space)
+    op = BackwardShift(weights, U.space)
     y_u = U.center
     a_top = y_u.max_support()
     a_start = 1 if a_top is None else max(1, a_top + 1)
@@ -425,7 +399,7 @@ def pair_recurrence_search(
         default=None,
     )
     q_start = 1 if q_top is None else max(1, q_top + 1)
-    linear = space.laterality == UNILATERAL and not isinstance(weights, ExplicitWeights)
+    linear = U.space.laterality == UNILATERAL and not isinstance(weights, ExplicitWeights)
     z1_inside = _lift_sum_test(weights, V1, m)
     z2_inside = _lift_sum_test(weights, V2, m)
     for q in range(q_start, q_max + 1):
@@ -454,29 +428,19 @@ def pair_recurrence_search(
 
 @dataclass(frozen=True)
 class NestedStage:
-    """One refinement stage: the ball, its step, and the witness behind it."""
+    """One refinement stage: the ball and the witness behind it (None for U itself)."""
 
     ball: Ball
-    q: int | None
     witness: RecurrenceWitness | None
-
-
-@dataclass(frozen=True)
-class NestedRefinement:
-    """Chain U = U_0 containing U_1 ... U_M with halving radii."""
-
-    stages: tuple[NestedStage, ...]
-    point: FiniteVector
 
 
 def nested_ball_refinement(
     weights: WeightSpec,
-    space: SpaceSpec,
     U: Ball,
     M: int,
     q_max: int,
-) -> NestedRefinement:
-    """Drive the witness search through M shrinking balls.
+) -> tuple[NestedStage, ...]:
+    """The chain U = U_0 containing U_1 ... U_M with halving radii, one stage each.
 
     Stage m searches the quarter-radius ball around the current center
     for a length-m witness, then recenters on that witness with half the
@@ -489,17 +453,17 @@ def nested_ball_refinement(
     """
     if M < 0:
         raise InvalidArgumentError("M must be non-negative")
-    stages = [NestedStage(U, None, None)]
+    stages = [NestedStage(U, None)]
     current = U
     for stage in range(1, M + 1):
         probe = Ball(current.center, current.radius / 4, current.space, current.slack)
-        w = multirec_witness(weights, space, probe, stage, q_max)
+        w = multirec_witness(weights, probe, stage, q_max)
         if w is None:
             raise StageFailureError(stage, tuple(stages))
         nxt = Ball(w.x, current.radius / 2, current.space, current.slack)
-        stages.append(NestedStage(nxt, w.q, w))
+        stages.append(NestedStage(nxt, w))
         current = nxt
-    return NestedRefinement(tuple(stages), current.center)
+    return tuple(stages)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ inverse e_n -> e_(n+1)/w_(n+1).  On the unilateral side the backward
 shift annihilates e_0 and negative indices are rejected.  k steps of a
 shift are one pass, with the weight product over them in closed form.
 
-Norm decisions are exact over the rationals: the l2 case compares
-squares, and open balls use strict inequality, against the radius shrunk
-by the ball's slack.  `walk` gives lambda_t T^t x at the requested times
+Norms are exact rationals, squared in the l2 case: `norm_key` for a
+vector, `gap` for the distance to a ball's center, which `in_ball`
+decides by strict inequality against the radius shrunk by the ball's
+slack.  `walk` gives lambda_t T^t x at the requested times
 along one orbit.  Float mode is data here: scalars wrapped in
 `DoubleScalars` and balls with a slack; nothing takes a mode.  Instances
 here are immutable, so values can be shared freely across threads or
@@ -160,15 +161,6 @@ class FiniteVector:
     def shift_support(self, offset: int) -> "FiniteVector":
         return _vector({idx + offset: n for idx, n in self._num.items()}, self._den, reduced=True)
 
-    def l1(self) -> Fraction:
-        return norm_key(self, 1)
-
-    def l2_squared(self) -> Fraction:
-        return norm_key(self, 2)
-
-    def sup(self) -> Fraction:
-        return norm_key(self, INF)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteVector):
             return NotImplemented
@@ -260,12 +252,20 @@ def below_radius(n: int, d: int, ball: Ball) -> bool:
     return n * c < b * d
 
 
+def gap(x: FiniteVector, ball: Ball) -> tuple[int, int]:
+    """||x - center||_p as (numerator, denominator), squared when p = 2, not reduced.
+
+    The one distance to a ball: `in_ball` decides on it and the searches report it.
+    """
+    _check_laterality(x, ball.space, "vector")
+    # x - center over the lcm of the two denominators
+    num, den = x._plus(ball.center, -1)
+    return _norm_ratio(num.values(), den, ball.space.p)
+
+
 def in_ball(x: FiniteVector, ball: Ball) -> bool:
     """Strict membership ||x - center||_p < radius, by the rule of `below_radius`."""
-    _check_laterality(x, ball.space, "vector")
-    # x - center over the lcm of the two denominators; the comparison needs no reduction
-    num, den = x._plus(ball.center, -1)
-    return below_radius(*_norm_ratio(num.values(), den, ball.space.p), ball)
+    return below_radius(*gap(x, ball), ball)
 
 
 class WeightSpec:
@@ -506,6 +506,8 @@ def _shift(op: Union[BackwardShift, ForwardShift], x: FiniteVector, k: int) -> F
                 raise InvalidArgumentError("negative support in a unilateral space")
             if not (back and uni and n < k):
                 moved[n + step] = c
+        if not moved:
+            return ZERO
         # annihilating e_0 .. e_(k-1) can leave a common factor
         v = _vector(moved, x._den, reduced=len(moved) == len(x._num))
         p, q = weights.weight_product(0, k)
@@ -535,7 +537,8 @@ def apply(op: Operator, x: FiniteVector, k: int = 1) -> FiniteVector:
     if isinstance(op, (BackwardShift, ForwardShift)):
         return _shift(op, x, k)
     if isinstance(op, Scaled):
-        return apply(op.inner, x, k).scale(op.scalar**k)
+        v = apply(op.inner, x, k)
+        return v if v.is_zero else v.scale(op.scalar**k)
     if isinstance(op, Power):
         return apply(op.inner, x, op.exponent * k)
     if isinstance(op, DirectSum):

@@ -133,12 +133,11 @@ def test_criterion_03_van_der_waerden(capsys):
     start = time.time()
     eight = vdw_check(8, 3)
     nine = vdw_check(9, 3)
+    # a coloring is the certificate that n is not forced; None says it is
     ok = (
-        not eight.forced
-        and eight.coloring is not None
-        and coloring_avoids_progressions(eight.coloring, 3)
-        and nine.forced
-        and nine.coloring is None
+        eight is not None
+        and coloring_avoids_progressions(eight, 3)
+        and nine is None
     )
     elapsed = time.time() - start
     assert _verdict(capsys, 3, "van der Waerden certificates", ok and elapsed < 10, elapsed)
@@ -167,17 +166,17 @@ def test_criterion_05_inversion_bracket(capsys):
 
 def test_criterion_06_criterion_positive_control(capsys):
     start = time.time()
-    rep = shift_ap_criterion(W2, L1, Fraction(1, 100), p_max=3, m_max=3, q_max=50)
-    ok = rep.fully_populated and all(q == 7 for q in rep.grid.values())
+    grid = shift_ap_criterion(W2, Fraction(1, 100), p_max=3, m_max=3, q_max=50)
+    ok = None not in grid.values() and all(q == 7 for q in grid.values())
     elapsed = time.time() - start
     assert _verdict(capsys, 6, "criterion positive control", ok, elapsed)
 
 
 def test_criterion_07_criterion_negative_control(capsys):
     start = time.time()
-    rep = shift_ap_criterion(UnitWeights(), L1, Fraction(1, 100), 3, 3, 50)
-    ok = all(q is None for q in rep.grid.values())
-    w = multirec_witness(UnitWeights(), L1, Ball(e(0), Fraction(1, 4), L1), 1, 50)
+    grid = shift_ap_criterion(UnitWeights(), Fraction(1, 100), 3, 3, 50)
+    ok = all(q is None for q in grid.values())
+    w = multirec_witness(UnitWeights(), Ball(e(0), Fraction(1, 4), L1), 1, 50)
     ok = ok and w is None
     elapsed = time.time() - start
     assert _verdict(capsys, 7, "criterion negative control", ok and elapsed < 1, elapsed)
@@ -186,9 +185,9 @@ def test_criterion_07_criterion_negative_control(capsys):
 def test_criterion_08_valley_family(capsys):
     start = time.time()
     valley = ValleyWeights(3)
-    rep = shift_ap_criterion(valley, L1, Fraction(1, 8), p_max=3, m_max=3, q_max=7200)
+    grid = shift_ap_criterion(valley, Fraction(1, 8), p_max=3, m_max=3, q_max=7200)
     # m'' = max(p, m, log2(1/epsilon)) = 3 on this grid, whose block is 6! = 720
-    ok = rep.fully_populated and all(q == 720 for q in rep.grid.values())
+    ok = None not in grid.values() and all(q == 720 for q in grid.values())
     support = HitSet.from_iterable(
         (n for n in range(10**5 + 1) if valley.profile(n) > 0), horizon=10**5
     )
@@ -202,7 +201,7 @@ def test_criterion_08_valley_family(capsys):
 def test_criterion_09_multiple_recurrence_construction(capsys):
     start = time.time()
     U = Ball(e(0), Fraction(1, 4), L1)
-    w = multirec_witness(W2, L1, U, m=2, q_max=50)
+    w = multirec_witness(W2, U, m=2, q_max=50)
     ok = (
         w is not None
         and w.q == 3
@@ -221,9 +220,9 @@ def test_criterion_10_scaled_orbit_construction(capsys):
     start = time.time()
     scal = DyadicSqrtScalars()
     ytilde = universal_vector(scal, e(0), 2, 16)
-    err = verify_universal(scal, ytilde, e(0), 2, 16, L1)
+    err = verify_universal(scal, ytilde, e(0), 2, 16, 1)
     errs = [
-        verify_universal(scal, universal_vector(scal, e(0), 2, k), e(0), 2, k, L1)
+        verify_universal(scal, universal_vector(scal, e(0), 2, k), e(0), 2, k, 1)
         for k in (16, 64, 256)
     ]
     ok = err == Fraction(1, 4)
@@ -261,7 +260,7 @@ def test_criterion_11_finite_transfers(capsys):
         ok = ok and y == apply(op, x, m * n)
     # rotation/power recomputation of a criterion witness on the doubling shift
     U = Ball(e(0), Fraction(1, 4), L1)
-    w = multirec_witness(W2, L1, U, m=2, q_max=50)
+    w = multirec_witness(W2, U, m=2, q_max=50)
     rotated = Scaled(Fraction(-1), BackwardShift(W2, L1))
     squared = Power(2, BackwardShift(W2, L1))
     ok = ok and all(verify_return_times(rotated, w.x, U, [0, 2 * w.q]))

@@ -401,28 +401,27 @@ class TestSzemerediR:
 
 
 class TestVdwCheck:
+    # vdw_check returns the first progression-free coloring; None means forced
+
     def test_eight_is_colorable(self):
-        res = vdw_check(8, 3)
-        assert not res.forced
-        assert res.coloring is not None and len(res.coloring) == 8
-        assert coloring_avoids_progressions(res.coloring, 3)
+        coloring = vdw_check(8, 3)
+        assert coloring is not None and len(coloring) == 8
+        assert coloring_avoids_progressions(coloring, 3)
 
     def test_lex_first_counterexample(self):
-        assert vdw_check(8, 3).coloring == "11001100"
+        assert vdw_check(8, 3) == "11001100"
 
     def test_nine_is_forced(self):
-        res = vdw_check(9, 3)
-        assert res.forced
-        assert res.coloring is None
+        assert vdw_check(9, 3) is None
 
     def test_tiny_case(self):
-        res = vdw_check(2, 3)
-        assert not res.forced
-        assert coloring_avoids_progressions(res.coloring, 3)
+        coloring = vdw_check(2, 3)
+        assert coloring is not None
+        assert coloring_avoids_progressions(coloring, 3)
 
     def test_forced_is_monotone_in_n(self):
-        assert vdw_check(10, 3, budget=12).forced
-        assert vdw_check(11, 3, budget=12).forced
+        assert vdw_check(10, 3, budget=12) is None
+        assert vdw_check(11, 3, budget=12) is None
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -435,8 +434,6 @@ class TestVdwCheck:
 
     def test_counterexamples_certified_when_present(self):
         for n in range(1, 9):
-            res = vdw_check(n, 3)
-            if not res.forced:
-                assert coloring_avoids_progressions(res.coloring, 3)
-            else:
-                assert res.coloring is None
+            coloring = vdw_check(n, 3)
+            if coloring is not None:
+                assert coloring_avoids_progressions(coloring, 3)

@@ -18,7 +18,6 @@ from aporbit.recurrence import (
     inverse_witness,
     joint_return_count,
     lift_vector,
-    membership_gap,
     multirec_candidate,
     multirec_witness,
     nested_ball_refinement,
@@ -92,8 +91,8 @@ def as_float_mode(scalars, ball, mode):
 class TestMembership:
     def test_gap_is_distance_to_center(self):
         ball = Ball(e(0), Fraction(1, 4), L1)
-        assert membership_gap(e(0) + e(3, Fraction(1, 8)), ball) == Fraction(1, 8)
-        assert membership_gap(e(0), ball) == 0
+        assert Fraction(*spaces.gap(e(0) + e(3, Fraction(1, 8)), ball)) == Fraction(1, 8)
+        assert Fraction(*spaces.gap(e(0), ball)) == 0
 
     def test_verify_return_times_recomputes(self):
         ball = Ball(ZERO, Fraction(1, 10), L1)
@@ -180,44 +179,43 @@ class TestReturnSet:
 
 class TestCriterion:
     def test_doubling_weights_certify_at_seven(self):
-        rep = shift_ap_criterion(W2, L1, Fraction(1, 100), p_max=3, m_max=3, q_max=100)
-        assert rep.fully_populated
-        assert all(q == 7 for q in rep.grid.values())
-        assert rep.cell(0, 1) == 7
+        grid = shift_ap_criterion(W2, Fraction(1, 100), p_max=3, m_max=3, q_max=100)
+        assert None not in grid.values()
+        assert all(q == 7 for q in grid.values())
+        assert grid[(0, 1)] == 7
 
     def test_unit_weights_never_certify(self):
-        rep = shift_ap_criterion(UnitWeights(), L1, Fraction(1, 2), 2, 2, 50)
-        assert not rep.fully_populated
-        assert all(q is None for q in rep.grid.values())
+        grid = shift_ap_criterion(UnitWeights(), Fraction(1, 2), 2, 2, 50)
+        assert None in grid.values()
+        assert all(q is None for q in grid.values())
 
     def test_valley_certifies_at_top_block(self):
-        rep = shift_ap_criterion(ValleyWeights(3), L1, Fraction(1, 8), 1, 3, 800)
-        assert all(q == 720 for q in rep.grid.values())
+        grid = shift_ap_criterion(ValleyWeights(3), Fraction(1, 8), 1, 3, 800)
+        assert all(q == 720 for q in grid.values())
 
     def test_boundary_equality_counts(self):
         # the deepest valley size is exactly 1/8 = epsilon: inclusive compare
         w = ValleyWeights(3)
         assert w.lift_factor(0, 720) == Fraction(1, 8)
-        rep = shift_ap_criterion(w, L1, Fraction(1, 8), 0, 3, 800)
-        assert rep.cell(0, 3) == 720
+        assert shift_ap_criterion(w, Fraction(1, 8), 0, 3, 800)[(0, 3)] == 720
         # anything strictly below 1/8 pushes the cell past every block
-        rep2 = shift_ap_criterion(w, L1, Fraction(1, 8) - Fraction(1, 10**6), 0, 3, 800)
-        assert rep2.cell(0, 3) is None
+        below = Fraction(1, 8) - Fraction(1, 10**6)
+        assert shift_ap_criterion(w, below, 0, 3, 800)[(0, 3)] is None
 
     def test_certified_cell_really_has_small_sizes(self):
-        rep = shift_ap_criterion(W2, L1, Fraction(1, 100), 2, 3, 100)
-        for (p, m), q in rep.grid.items():
+        eps = Fraction(1, 100)
+        for (p, m), q in shift_ap_criterion(W2, eps, 2, 3, 100).items():
             for j in range(1, m + 1):
                 for p_off in range(0, p + 1):
-                    assert W2.lift_factor(0, j * q + p_off) <= rep.epsilon
+                    assert W2.lift_factor(0, j * q + p_off) <= eps
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            shift_ap_criterion(W2, L1, Fraction(0), 1, 1, 10)
+            shift_ap_criterion(W2, Fraction(0), 1, 1, 10)
         with pytest.raises(InvalidArgumentError):
-            shift_ap_criterion(W2, L1, Fraction(1, 2), -1, 1, 10)
+            shift_ap_criterion(W2, Fraction(1, 2), -1, 1, 10)
         with pytest.raises(InvalidArgumentError):
-            shift_ap_criterion(W2, L1, Fraction(1, 2), 1, 0, 10)
+            shift_ap_criterion(W2, Fraction(1, 2), 1, 0, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ class TestLift:
 
 class TestMultirec:
     def test_doubling_example(self):
-        w = multirec_witness(W2, L1, Ball(e(0), Fraction(1, 4), L1), m=2, q_max=100)
+        w = multirec_witness(W2, Ball(e(0), Fraction(1, 4), L1), m=2, q_max=100)
         assert w is not None and w.verified
         assert w.q == 3
         assert w.x == e(0) + e(3, Fraction(1, 8)) + e(6, Fraction(1, 64))
@@ -263,17 +261,17 @@ class TestMultirec:
 
     def test_unit_weights_exhaust(self):
         # every lift layer has size 1, so each candidate misses by at least 3/4
-        w = multirec_witness(UnitWeights(), L1, Ball(e(0), Fraction(1, 4), L1), 1, 50)
+        w = multirec_witness(UnitWeights(), Ball(e(0), Fraction(1, 4), L1), 1, 50)
         assert w is None
 
     def test_zero_center_trivial_witness(self):
-        w = multirec_witness(W2, L1, Ball(ZERO, Fraction(1, 3), L1), m=3, q_max=10)
+        w = multirec_witness(W2, Ball(ZERO, Fraction(1, 3), L1), m=3, q_max=10)
         assert w is not None
         assert w.q == 1 and w.x == ZERO
         assert w.verified
 
     def test_returned_memberships_recheck(self):
-        w = multirec_witness(W2, L1, Ball(e(1), Fraction(1, 5), L1), m=2, q_max=30)
+        w = multirec_witness(W2, Ball(e(1), Fraction(1, 5), L1), m=2, q_max=30)
         assert w is not None
         times = [j * w.q for j in range(w.m + 1)]
         assert all(verify_return_times(doubling_shift(), w.x, Ball(e(1), Fraction(1, 5), L1), times))
@@ -295,34 +293,34 @@ class TestMultirec:
 
         monkeypatch.setattr(spaces, "apply", counting_apply)
         ball = Ball(e(0, 3), Fraction(27, 8), L1)
-        w = multirec_witness(ValleyWeights(2), L1, ball, m=2, q_max=130)
+        w = multirec_witness(ValleyWeights(2), ball, m=2, q_max=130)
         assert w is not None and w.verified and w.q == 120
         assert w.distances == (Fraction(3, 2), Fraction(3, 4), Fraction(0))
         assert steps == [w.q, w.q]
 
     def test_deterministic(self):
         ball = Ball(e(0), Fraction(1, 4), L1)
-        assert multirec_witness(W2, L1, ball, 2, 100) == multirec_witness(W2, L1, ball, 2, 100)
+        assert multirec_witness(W2, ball, 2, 100) == multirec_witness(W2, ball, 2, 100)
 
     def test_single_return_when_m_is_zero(self):
         # m = 0 asks only for membership of x itself
-        w = multirec_witness(W2, L1, Ball(e(0), Fraction(1), L1), m=0, q_max=10)
+        w = multirec_witness(W2, Ball(e(0), Fraction(1), L1), m=0, q_max=10)
         assert w is not None and w.x == e(0) and w.verified
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            multirec_witness(W2, L1, Ball(e(0), Fraction(1), L1), m=-1, q_max=10)
+            multirec_witness(W2, Ball(e(0), Fraction(1), L1), m=-1, q_max=10)
         with pytest.raises(InvalidArgumentError):
-            multirec_witness(W2, L1, Ball(e(0), Fraction(1), L1), m=1, q_max=0)
+            multirec_witness(W2, Ball(e(0), Fraction(1), L1), m=1, q_max=0)
 
 
 # ---------------------------------------------------------------------------
 # universal vectors for scaled orbits
 
 
-def universal_error(scalars, y, m, k, space):
+def universal_error(scalars, y, m, k, p):
     """verify_universal on the universal vector built from the same inputs."""
-    return verify_universal(scalars, universal_vector(scalars, y, m, k), y, m, k, space)
+    return verify_universal(scalars, universal_vector(scalars, y, m, k), y, m, k, p)
 
 
 class TestUniversal:
@@ -338,16 +336,16 @@ class TestUniversal:
         assert v == e(0) + e(16, Fraction(1, 16)) + e(32, Fraction(1, 64))
 
     def test_verify_error_value(self):
-        err = universal_error(DyadicSqrtScalars(), e(0), 2, 16, L1)
+        err = universal_error(DyadicSqrtScalars(), e(0), 2, 16, 1)
         assert err == Fraction(1, 4)
 
     def test_verify_measures_the_vector_given(self):
         # the l = 1 term alone: || lambda_1 B e_1 - e_0 ||_1 = ||2 e_0 - e_0||_1
-        assert verify_universal(DyadicSqrtScalars(), e(1), e(0), 1, 1, L1) == 1
-        assert verify_universal(OneScalars(), e(0), e(0), 0, 5, L1) == 0
+        assert verify_universal(DyadicSqrtScalars(), e(1), e(0), 1, 1, 1) == 1
+        assert verify_universal(OneScalars(), e(0), e(0), 0, 5, 1) == 0
 
     def test_errors_shrink_with_k(self):
-        errs = [universal_error(DyadicSqrtScalars(), e(0), 2, k, L1) for k in (16, 64, 256)]
+        errs = [universal_error(DyadicSqrtScalars(), e(0), 2, k, 1) for k in (16, 64, 256)]
         assert errs == [Fraction(1, 4), Fraction(1, 16), Fraction(1, 128)]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
@@ -369,10 +367,10 @@ class TestUniversal:
             )
             m = rng.randint(1, 3)
             k = rng.randint((y.max_support() or 0) + 1, (y.max_support() or 0) + 12)
-            got = universal_error(scal, y, m, k, L1)
+            got = universal_error(scal, y, m, k, 1)
             law = max(
                 sum(
-                    (scal.value(l * k) / scal.value(j * k)) * y.l1()
+                    (scal.value(l * k) / scal.value(j * k)) * norm_key(y, 1)
                     for j in range(l + 1, m + 1)
                 )
                 for l in range(1, m + 1)
@@ -380,10 +378,10 @@ class TestUniversal:
             assert got == law
 
     def test_float_mode_scalars(self):
-        err = universal_error(DoubleScalars(ExpSqrtScalars()), e(0), 1, 4, L1)
+        err = universal_error(DoubleScalars(ExpSqrtScalars()), e(0), 1, 4, 1)
         assert isinstance(err, Fraction) and err == 0  # single surviving layer
         with pytest.raises(ModeMismatchError):
-            universal_error(ExpSqrtScalars(), e(0), 1, 4, L1)
+            universal_error(ExpSqrtScalars(), e(0), 1, 4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +427,14 @@ class TestInverseWitness:
 class TestPairSearch:
     def test_all_zero_centers(self):
         zero = Ball(ZERO, Fraction(1), L1)
-        w = pair_recurrence_search(W2, L1, zero, zero, zero, m=1, a_max=10, q_max=10)
+        w = pair_recurrence_search(W2, zero, zero, zero, m=1, a_max=10, q_max=10)
         assert w is not None and (w.a, w.q) == (1, 1)
 
     def test_doubling_example(self):
         U = Ball(e(0), Fraction(1, 2), L1)
         V1 = Ball(ZERO, Fraction(1, 2), L1)
         V2 = Ball(e(0), Fraction(1, 2), L1)
-        w = pair_recurrence_search(W2, L1, U, V1, V2, m=1, a_max=50, q_max=50)
+        w = pair_recurrence_search(W2, U, V1, V2, m=1, a_max=50, q_max=50)
         assert w is not None
         assert (w.a, w.q) == (2, 2)
 
@@ -444,7 +442,7 @@ class TestPairSearch:
         U = Ball(e(0), Fraction(1, 2), L1)
         V1 = Ball(ZERO, Fraction(1, 2), L1)
         V2 = Ball(e(0), Fraction(1, 2), L1)
-        w = pair_recurrence_search(W2, L1, U, V1, V2, m=1, a_max=50, q_max=50)
+        w = pair_recurrence_search(W2, U, V1, V2, m=1, a_max=50, q_max=50)
         op = doubling_shift()
         times = [w.a + j * w.q for j in range(w.m + 1)]
         assert all(verify_return_times(op, w.x1, U, [0]))
@@ -454,7 +452,7 @@ class TestPairSearch:
 
     def test_unit_weights_exhaust(self):
         U = Ball(e(0), Fraction(1, 2), L1)
-        w = pair_recurrence_search(UnitWeights(), L1, U, U, U, m=1, a_max=15, q_max=15)
+        w = pair_recurrence_search(UnitWeights(), U, U, U, m=1, a_max=15, q_max=15)
         assert w is None
 
     def test_skipped_steps_cost_no_walk(self, monkeypatch):
@@ -475,7 +473,7 @@ class TestPairSearch:
         U = Ball(e(0), Fraction(1, 64), L1)
         V1 = Ball(ZERO, Fraction(1, 2), L1)
         V2 = Ball(e(0), Fraction(1, 8), L1)
-        w = pair_recurrence_search(W2, L1, U, V1, V2, m=1, a_max=40, q_max=40)
+        w = pair_recurrence_search(W2, U, V1, V2, m=1, a_max=40, q_max=40)
         assert (w.a, w.q) == (7, 4)
         assert steps == [w.a, w.q] * 2
 
@@ -487,38 +485,39 @@ class TestPairSearch:
 class TestNestedRefinement:
     def test_zero_stages(self):
         U = Ball(e(0), Fraction(1, 2), L1)
-        ref = nested_ball_refinement(W2, L1, U, M=0, q_max=10)
-        assert len(ref.stages) == 1
-        assert ref.stages[0].ball == U and ref.stages[0].q is None
-        assert ref.point == e(0)
+        stages = nested_ball_refinement(W2, U, M=0, q_max=10)
+        assert len(stages) == 1
+        assert stages[0].ball == U and stages[0].witness is None
+        assert stages[-1].ball.center == e(0)
 
     def test_two_stage_example(self):
         U = Ball(e(0), Fraction(1, 2), L1)
-        ref = nested_ball_refinement(W2, L1, U, M=2, q_max=64)
-        assert [s.q for s in ref.stages] == [None, 4, 5]
-        assert [s.ball.radius for s in ref.stages] == [
+        stages = nested_ball_refinement(W2, U, M=2, q_max=64)
+        assert [s.witness and s.witness.q for s in stages] == [None, 4, 5]
+        assert [s.ball.radius for s in stages] == [
             Fraction(1, 2),
             Fraction(1, 4),
             Fraction(1, 8),
         ]
         # each stage ball sits inside its predecessor, with slack
-        for prev, cur in zip(ref.stages, ref.stages[1:]):
-            gap = (cur.ball.center - prev.ball.center).l1()
+        for prev, cur in zip(stages, stages[1:]):
+            gap = norm_key(cur.ball.center - prev.ball.center, 1)
             assert gap + cur.ball.radius <= prev.ball.radius
             assert cur.witness is not None and cur.witness.verified
-        assert ref.point == ref.stages[-1].ball.center
+            # the stage ball is centered on its witness
+            assert cur.ball.center == cur.witness.x
 
     def test_stage_returns_stay_in_stage_ball(self):
         U = Ball(e(0), Fraction(1, 2), L1)
-        ref = nested_ball_refinement(W2, L1, U, M=2, q_max=64)
-        for stage_index, stage in enumerate(ref.stages[1:], start=1):
-            times = [j * stage.q for j in range(stage_index + 1)]
+        stages = nested_ball_refinement(W2, U, M=2, q_max=64)
+        for stage_index, stage in enumerate(stages[1:], start=1):
+            times = [j * stage.witness.q for j in range(stage_index + 1)]
             assert all(verify_return_times(doubling_shift(), stage.ball.center, stage.ball, times))
 
     def test_failure_carries_prefix(self):
         U = Ball(e(0), Fraction(1, 2), L1)
         with pytest.raises(StageFailureError) as exc:
-            nested_ball_refinement(UnitWeights(), L1, U, M=1, q_max=20)
+            nested_ball_refinement(UnitWeights(), U, M=1, q_max=20)
         assert exc.value.stage == 1
         assert len(exc.value.completed) == 1  # just the initial ball
 
@@ -602,28 +601,25 @@ class TestCoherence:
     def test_certified_cells_admit_witnesses(self, weights, eps, q_max):
         # the depth-2 grid mixes certified cells (m <= 2, at q = 120) with
         # exhausted ones (m = 3 needs a third block that family lacks)
-        rep = shift_ap_criterion(weights, L1, eps, p_max=2, m_max=3, q_max=q_max)
-        for (p, m), q0 in rep.grid.items():
+        grid = shift_ap_criterion(weights, eps, p_max=2, m_max=3, q_max=q_max)
+        for (p, m), q0 in grid.items():
             if q0 is None or m < 1:
                 continue
             a_p = weights.lift_factor(0, p)
             # candidate at the certified step keeps every partial sum small
             x = multirec_candidate(weights, e(p), q0, m)
             for i in range(m + 1):
-                gap = membership_gap(
-                    apply(BackwardShift(weights, L1), x, i * q0),
-                    Ball(e(p), Fraction(10**9), L1),
-                )
+                gap = norm_key(apply(BackwardShift(weights, L1), x, i * q0) - e(p), 1)
                 assert gap <= m * eps / a_p
             # and the witness search succeeds within the same step budget
             radius = 2 * m * eps / a_p
-            w = multirec_witness(weights, L1, Ball(e(p), radius, L1), m, q_max)
+            w = multirec_witness(weights, Ball(e(p), radius, L1), m, q_max)
             assert w is not None and w.q <= q0
 
     def test_transfer_along_a_lift(self):
         # a witness for U transfers to arithmetic return times of a pre-image
         U = Ball(e(0), Fraction(1, 4), L1)
-        w = multirec_witness(W2, L1, U, m=2, q_max=100)
+        w = multirec_witness(W2, U, m=2, q_max=100)
         x_pre = lift_vector(W2, w.x, 5)
         times = [5 + j * w.q for j in range(w.m + 1)]
         assert times == [5, 8, 11]
@@ -632,7 +628,7 @@ class TestCoherence:
     def test_transfer_survives_small_perturbation(self):
         # margin/||T||^t controls how much the pre-image may be nudged
         U = Ball(e(0), Fraction(1, 4), L1)
-        w = multirec_witness(W2, L1, U, m=2, q_max=100)
+        w = multirec_witness(W2, U, m=2, q_max=100)
         x_pre = lift_vector(W2, w.x, 5)
         margin = Fraction(1, 4) - max(w.distances)  # 7/64
         top_time = 5 + w.m * w.q
@@ -644,14 +640,14 @@ class TestCoherence:
     def test_rotation_keeps_even_multiples(self):
         # (-T)^(2jq) = T^(2jq): the sign cancels on even multiples of q
         U = Ball(e(0), Fraction(1, 4), L1)
-        w = multirec_witness(W2, L1, U, m=2, q_max=100)
+        w = multirec_witness(W2, U, m=2, q_max=100)
         rotated = Scaled(Fraction(-1), doubling_shift())
         assert all(verify_return_times(rotated, w.x, U, [0, 2 * w.q]))
 
     def test_square_power_halves_the_step(self):
         # (T^2)^(jq) = T^(2jq): the same witness returns at step q for T^2
         U = Ball(e(0), Fraction(1, 4), L1)
-        w = multirec_witness(W2, L1, U, m=2, q_max=100)
+        w = multirec_witness(W2, U, m=2, q_max=100)
         squared = Power(2, doubling_shift())
         assert all(verify_return_times(squared, w.x, U, [0, w.q]))
 
@@ -665,11 +661,11 @@ class TestCoherence:
 # return the same witnesses, grids and errors on generated configs.
 
 
-def oracle_multirec(weights, space, ball, m, q_max):
+def oracle_multirec(weights, ball, m, q_max):
     y = ball.center
     top = y.max_support()
     start = 1 if top is None else max(1, top + 1)
-    op = BackwardShift(weights, space)
+    op = BackwardShift(weights, ball.space)
     for q in range(start, q_max + 1):
         x = multirec_candidate(weights, y, q, m)
         times = [j * q for j in range(m + 1)]
@@ -680,13 +676,13 @@ def oracle_multirec(weights, space, ball, m, q_max):
             hits.append(v)
         else:
             checks = verify_return_times(op, x, ball, times)
-            gaps = tuple(membership_gap(v, ball) for v in hits)
+            gaps = tuple(norm_key(v - ball.center, ball.space.p) for v in hits)
             return q, x, checks, gaps
     return None
 
 
-def oracle_pair(weights, space, U, V1, V2, m, a_max, q_max):
-    op = BackwardShift(weights, space)
+def oracle_pair(weights, U, V1, V2, m, a_max, q_max):
+    op = BackwardShift(weights, U.space)
 
     def returns(x, ball, times):
         return all(in_ball(v, ball) for v in walk(op, x, times))
@@ -811,8 +807,8 @@ class TestAgainstStepByStep:
             q_max = rng.choice([8, 30, 130]) if isinstance(weights, ValleyWeights) else rng.randint(1, 30)
             y = random_center(rng, laterality, 6)
             ball = Ball(y, random_radius(rng, weights, y, p, m, q_max), space, slack(mode))
-            want = outcome(oracle_multirec, weights, space, ball, m, q_max)
-            got = outcome(multirec_witness, weights, space, ball, m, q_max)
+            want = outcome(oracle_multirec, weights, ball, m, q_max)
+            got = outcome(multirec_witness, weights, ball, m, q_max)
             if isinstance(got, tuple):
                 errors += 1
                 assert got == want
@@ -838,8 +834,8 @@ class TestAgainstStepByStep:
         # 22/3) would reject the step that the built candidate passes
         space = SpaceSpec(1, BILATERAL)
         ball = Ball(e(-3, 2) - e(-2), Fraction(22, 3), space)
-        w = multirec_witness(UnitWeights(), space, ball, 3, 6)
-        want = oracle_multirec(UnitWeights(), space, ball, 3, 6)
+        w = multirec_witness(UnitWeights(), ball, 3, 6)
+        want = oracle_multirec(UnitWeights(), ball, 3, 6)
         assert w.q == 1 and (w.q, w.x, w.verified_memberships, w.distances) == want
 
     def test_bilateral_pair_keeps_every_a(self):
@@ -851,7 +847,7 @@ class TestAgainstStepByStep:
         U = Ball(e(1, -16), 25, space)
         V1 = Ball(e(-3), Fraction(7, 4), space)
         V2 = Ball(ZERO, 3, space)
-        args = (ConstantWeights(Fraction(1, 2)), space, U, V1, V2, 1, 6, 6)
+        args = (ConstantWeights(Fraction(1, 2)), U, V1, V2, 1, 6, 6)
         w = pair_recurrence_search(*args)
         assert (w.a, w.q) == (3, 1)
         assert (w.x1, w.x2, w.a, w.q, w.m) == oracle_pair(*args)
@@ -871,8 +867,8 @@ class TestAgainstStepByStep:
                 y = random_center(rng, laterality, 3)
                 balls.append(Ball(y, random_radius(rng, weights, y, p, m, 8), space, slack(mode)))
             a_max, q_max = rng.randint(1, 12), rng.randint(1, 12)
-            want = outcome(oracle_pair, weights, space, *balls, m, a_max, q_max)
-            got = outcome(pair_recurrence_search, weights, space, *balls, m, a_max, q_max)
+            want = outcome(oracle_pair, weights, *balls, m, a_max, q_max)
+            got = outcome(pair_recurrence_search, weights, *balls, m, a_max, q_max)
             if isinstance(got, tuple):
                 errors += 1
                 assert got == want
@@ -892,10 +888,10 @@ class TestAgainstStepByStep:
             p_max, m_max = rng.randint(0, 3), rng.randint(1, 3)
             q_max = rng.choice([20, 150]) if isinstance(weights, ValleyWeights) else rng.randint(1, 40)
             want = outcome(oracle_criterion, weights, eps, p_max, m_max, q_max)
-            got = outcome(shift_ap_criterion, weights, L1, eps, p_max, m_max, q_max)
+            got = outcome(shift_ap_criterion, weights, eps, p_max, m_max, q_max)
             if isinstance(got, tuple):
                 errors += 1
                 assert got == want
             else:
-                assert got.grid == want
+                assert got == want
         assert errors

@@ -30,8 +30,10 @@ from aporbit.spaces import (
     ValleyWeights,
     ZERO,
     apply,
+    gap,
     in_ball,
     invert,
+    norm_key,
     operator_space,
     walk,
 )
@@ -94,10 +96,10 @@ class TestFiniteVector:
 
     def test_norms(self):
         v = e(0, Fraction(3, 4)) + e(5, Fraction(-1, 4))
-        assert v.l1() == 1
-        assert v.l2_squared() == Fraction(10, 16)
-        assert v.sup() == Fraction(3, 4)
-        assert ZERO.l1() == 0 and ZERO.sup() == 0
+        assert norm_key(v, 1) == 1
+        assert norm_key(v, 2) == Fraction(10, 16)
+        assert norm_key(v, INF) == Fraction(3, 4)
+        assert norm_key(ZERO, 1) == 0 and norm_key(ZERO, INF) == 0
 
     def test_min_max_support(self):
         v = e(-2) + e(7)
@@ -112,12 +114,12 @@ class TestNormComparisons:
         for _ in range(60):
             x = random_vector(rng)
             y = random_vector(rng)
-            assert (x + y).l1() <= x.l1() + y.l1()
-            assert (x + y).sup() <= x.sup() + y.sup()
+            assert norm_key(x + y, 1) <= norm_key(x, 1) + norm_key(y, 1)
+            assert norm_key(x + y, INF) <= norm_key(x, INF) + norm_key(y, INF)
             # squared form of the l2 triangle inequality via Cauchy-Schwarz:
             # ||x+y||^2 <= (||x|| + ||y||)^2 = ||x||^2 + 2||x||||y|| + ||y||^2
-            lhs = (x + y).l2_squared()
-            xs, ys = x.l2_squared(), y.l2_squared()
+            lhs = norm_key(x + y, 2)
+            xs, ys = norm_key(x, 2), norm_key(y, 2)
             assert (lhs - xs - ys) ** 2 <= 4 * xs * ys or lhs <= xs + ys
 
 
@@ -378,6 +380,35 @@ class TestApply:
                 x = random_vector(rng, span=130)
                 image = apply(op, x)
                 assert all(c != 0 for _, c in image.items())
+
+    def test_annihilated_vector_costs_no_weight_product_or_scalar_power(self, monkeypatch):
+        # 10^7 steps of 3B annihilate every index below 10^7: with nothing
+        # moved, neither 3^(10^7) nor the scalar's 10^7-th power is computed
+        products, powers = [], []
+        real_product = ConstantWeights.weight_product
+
+        def spy_product(weights, start, steps):
+            products.append(steps)
+            return real_product(weights, start, steps)
+
+        class SpyScalar(Fraction):
+            def __pow__(self, k):
+                powers.append(k)
+                return Fraction(self) ** k
+
+        monkeypatch.setattr(ConstantWeights, "weight_product", spy_product)
+        shift = BackwardShift(ConstantWeights(Fraction(3)), L1)
+        op = Scaled(Fraction(2), Power(10**7, shift))
+        object.__setattr__(op, "scalar", SpyScalar(2))
+        assert apply(op, e(0) + e(5)) == ZERO
+        assert list(walk(op, e(0), range(4))) == [e(0), ZERO, ZERO, ZERO]
+        assert apply(op, ZERO, 3) == ZERO
+        assert products == [] and powers == []
+        # a vector that survives pays for both, once
+        survivor = Scaled(Fraction(2), shift)
+        object.__setattr__(survivor, "scalar", SpyScalar(2))
+        assert apply(survivor, e(5), 2) == e(3, 36)
+        assert products == [2] and powers == [2]
 
     def test_linearity(self):
         rng = random.Random(7001)
@@ -667,7 +698,7 @@ class TestDifferentialKernel:
                 scaled_ref = {n: c * lam for n, c in want.items()}
                 assert_canonical(scaled[t])
                 assert as_dict(scaled[t]) == scaled_ref
-                assert (v.l1(), v.l2_squared(), v.sup()) == tuple(ref_norm(want, p) for p in (1, 2, INF))
+                assert tuple(norm_key(v, p) for p in (1, 2, INF)) == tuple(ref_norm(want, p) for p in (1, 2, INF))
                 # ||v - c|| < r for the exact ball, < r * (1 - 10^-9) for the slack ball
                 shrunk = ball.radius * (1 - Fraction(1, 10**9))
                 for vec, vec_ref in ((v, want), (scaled[t], scaled_ref)):
@@ -682,6 +713,39 @@ class TestDifferentialKernel:
                 diff = scaled[t] - ball.center
                 assert_canonical(diff)
                 assert as_dict(diff) == ref_sub(scaled_ref, center)
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_gap_and_membership_match_the_reference_distance(self, p):
+        # gap(v, ball) is ||v - c||_p, squared for p = 2, on either side;
+        # in_ball decides gap < r (r^2 for p = 2), and < r*(1 - slack) with a slack
+        rng = random.Random(9400 + (3 if p == INF else p))
+        power = 2 if p == 2 else 1
+        shrunk = 1 - FLOAT_SLACK
+        for _ in range(150):
+            space = SpaceSpec(p, rng.choice([UNILATERAL, BILATERAL]))
+            bilateral = space.laterality == BILATERAL
+            center = random_entries(rng, bilateral)
+            radius = random_fraction(rng, positive=True)
+            ball = Ball(FiniteVector(center), radius, space)
+            slack_ball = Ball(ball.center, radius, space, FLOAT_SLACK)
+            # a random vector, and one on the sphere: c + r e_i is at distance r for every p
+            on_sphere = dict(center)
+            i = rng.randint(0, 8)
+            on_sphere[i] = on_sphere.get(i, 0) + radius
+            for ref in (random_entries(rng, bilateral), on_sphere):
+                v = FiniteVector(ref)
+                n, d = gap(v, ball)
+                want = ref_norm(ref_sub(ref, center), p)
+                assert d > 0 and Fraction(n, d) == want
+                assert in_ball(v, ball) == (want < radius**power)
+                assert in_ball(v, slack_ball) == (want < (radius * shrunk) ** power)
+            assert want == radius**power and not in_ball(v, ball)
+            # a part in 10^12 beyond the sphere: inside exactly, outside with the slack
+            wider = radius * (1 + Fraction(1, 10**12))
+            assert in_ball(v, Ball(ball.center, wider, space))
+            assert not in_ball(v, Ball(ball.center, wider, space, FLOAT_SLACK))
+        with pytest.raises(InvalidArgumentError):
+            gap(e(-1), Ball(ZERO, 1, SpaceSpec(p, UNILATERAL)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_k_steps_and_sparse_walks_match_stepping_the_reference(self, seed):

@@ -19,6 +19,7 @@ does the exact/float choice: in float mode the runners wrap scalars in
 import argparse
 import copy
 import csv
+import io
 import itertools
 import json
 import math
@@ -68,6 +69,7 @@ from .serialize import (
     parse_vector,
     parse_weights,
     vector_to_json,
+    write_json,
 )
 from .spaces import (
     INF,
@@ -793,14 +795,18 @@ def _read_stdin_set():
         return [int(tok) for tok in stripped.split()]
 
 
-def _emit(report, output, header, rows, out):
+def _emit(report, output, header, rows) -> str:
+    """The whole text of a report but its last line end, rendered before any is written.
+
+    Callers write the line end on its own: an unbuffered stdout (`python -u`)
+    takes one partial write to a pipe whose reader has gone without an error,
+    and only the next write meets the closed end.
+    """
     if output == "json":
-        out.write(json.dumps(report, indent=2, sort_keys=True))
-        out.write("\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        return write_json(report)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue()[:-1]
 
 
 # the exceptions that report invalid input (exit 2)
@@ -838,7 +844,8 @@ def _report_error(exc, name, mode, out):
     inconclusive = isinstance(exc, MonotonicityError)
     if inconclusive:
         report.update(verdict="inconclusive", conclusive=False)
-    _emit(report, "json", None, None, out)
+    out.write(_emit(report, "json", None, None))
+    out.write("\n")
     if inconclusive:
         return EXHAUSTED
     if internal:
@@ -874,10 +881,12 @@ def main(argv=None) -> int:
             if name == "analyze-set" and "set" not in config:
                 config["set"] = _read_stdin_set()
             result = RUNNERS[name](config, args.mode)
+        report = {"command": name, "mode": args.mode, "config": config, **result.payload}
+        text = _emit(report, args.output, result.csv_header, result.csv_rows)
     except Exception as exc:
         return _report_error(exc, name, args.mode, out)
-    report = {"command": name, "mode": args.mode, "config": config, **result.payload}
-    _emit(report, args.output, result.csv_header, result.csv_rows, out)
+    out.write(text)
+    out.write("\n")
     return OK if result.payload["verified"] else EXHAUSTED
 
 

@@ -6,12 +6,14 @@ Vectors are lists of [index, numerator, denominator] triples, with the
 "e<N>" shorthand accepted anywhere a vector is expected.  Every parser
 threads a JSON-path string so schema errors point at the exact field.
 Reports echo their configs verbatim, so `format_fraction` and
-`vector_to_json` are the only emitters.
+`vector_to_json` are the only converters of program values to report values,
+and `write_json` writes a whole report as text.
 """
 
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import BudgetExceededError, SchemaError
 from .spaces import (
@@ -42,16 +44,71 @@ from .spaces import (
 _BASIS_RE = re.compile(r"^e(-?\d+)$")
 
 
+def _too_many_digits() -> BudgetExceededError:
+    # str(int) refuses integers past sys.get_int_max_str_digits()
+    return BudgetExceededError(
+        "a rational in the report has more digits than Python will convert "
+        f"to text ({sys.get_int_max_str_digits()}); lower the horizon or step bounds"
+    )
+
+
 def format_fraction(value: Fraction) -> str:
     f = Fraction(value)
     try:
         return f"{f.numerator}/{f.denominator}"
     except ValueError:
-        # str(int) refuses integers past sys.get_int_max_str_digits()
-        raise BudgetExceededError(
-            "a rational in the report has more digits than Python will convert "
-            f"to text ({sys.get_int_max_str_digits()}); lower the horizon or step bounds"
-        ) from None
+        raise _too_many_digits() from None
+
+
+def write_json(value) -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+
+    Takes what reports hold: dicts with str keys, lists, tuples, str, int,
+    float, bool and None; anything else is a TypeError.  An integer past
+    Python's digit limit for text is a BudgetExceededError.
+    """
+    try:
+        return _write(value, "\n")
+    except ValueError:
+        raise _too_many_digits() from None
+
+
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(value, nl):
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _FLOAT_NAMES.get(text, text)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if kind is dict:
+        body = sep.join([f"{_quote(k)}: {_write(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{{inner}{body}{nl}}}"
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        body = sep.join(map(int.__repr__, value))
+    elif kinds == {list} and all(
+        len(r) == 3 and type(r[0]) is type(r[1]) is type(r[2]) is int for r in value
+    ):
+        # every vector_to_json output: one template per [index, num, den] row
+        more = inner + "  "
+        row = "[" + more + "%d," + more + "%d," + more + "%d" + inner + "]"
+        body = sep.join([row % tuple(r) for r in value])
+    else:
+        body = sep.join([_write(v, inner) for v in value])
+    return f"[{inner}{body}{nl}]"
 
 
 def parse_fraction(obj, path: str = "$") -> Fraction:

@@ -548,6 +548,26 @@ class TestConfig:
             assert report["verdict"] == "error"
             assert expected in report["error"]
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_orbit_vector_past_the_digit_limit_is_an_input_error(self, capsys, mode):
+        # the norms stay near 1, so float mode writes them as doubles, but the
+        # iterates' numerators pass 4300 digits: the report cannot be written
+        w = f"{10**100 + 1}/{10**100}"
+        op = '{"kind":"backward","weights":{"kind":"constant","value":"' + w + '"}}'
+        argv = ["orbit", "--mode", mode, "--x", "e50", "--horizon", "50", "--operator", op]
+        code, out, err = run_cli(capsys, argv)
+        report = json.loads(out)
+        assert code == 2
+        assert report == {
+            "command": "orbit",
+            "mode": mode,
+            "verdict": "error",
+            "verified": False,
+            "error": "a rational in the report has more digits than Python will convert "
+            "to text (4300); lower the horizon or step bounds",
+        }
+        assert err == f"error: {report['error']}\n"
+
     def test_float_scalar_past_a_double_is_an_input_error(self, capsys):
         # e^sqrt(1200000) is past the largest double
         code, report = run_json(
@@ -626,6 +646,18 @@ class TestConfig:
         }
         assert err.startswith("Traceback") and "in crash" in err
         assert err.endswith(f"error: {report['error']}\n")
+
+    def test_report_the_writer_refuses_is_an_internal_error(self, capsys, monkeypatch):
+        # the report is rendered before any of it is written: stdout holds only the error report
+        def unwritable(config, mode):
+            return cli.RunResult({"verified": True, "n": Fraction(1, 2)}, None, None)
+
+        monkeypatch.setitem(cli.RUNNERS, "vdw", unwritable)
+        code, out, err = run_cli(capsys, ["vdw", "--n", "5"])
+        assert code == cli.INTERNAL
+        message = "internal error: TypeError: Object of type Fraction is not JSON serializable"
+        assert json.loads(out)["error"] == message
+        assert err.startswith("Traceback")
 
     def test_monotonicity_report(self, capsys, monkeypatch):
         def refuse(ls):

@@ -2,17 +2,22 @@
 
 Reports echo their configs verbatim, so the parsers define the wire format
 of weights, balls, operators and scalars; only rationals and vectors are
-ever written, by `format_fraction` and `vector_to_json`.  Each
-`test_round_trip` case takes a literal as a report echoes it to the object
-it stands for.
+ever converted, by `format_fraction` and `vector_to_json`, and `write_json`
+writes the text of a whole report.  Each `test_round_trip` case takes a
+literal as a report echoes it to the object it stands for.
 """
 
+import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from test_reports import CASES
 
-from aporbit.errors import SchemaError
+from aporbit import cli
+from aporbit.errors import BudgetExceededError, SchemaError
 from aporbit.serialize import (
     format_fraction,
     parse_ball,
@@ -24,6 +29,7 @@ from aporbit.serialize import (
     parse_vector,
     parse_weights,
     vector_to_json,
+    write_json,
 )
 from aporbit.spaces import (
     BILATERAL,
@@ -105,6 +111,115 @@ class TestVectors:
             }
             v = FiniteVector(entries)
             assert parse_vector(vector_to_json(v)) == v
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# text that ensure_ascii escapes: non-ASCII, astral, quotes, backslashes, controls, a lone surrogate
+CHARS = "az09 é☃😀\"\\/\n\t\x00\x1f\x7f\u2028\ud800"
+FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1.5, 0.1, 1e16, 2.0**-1074)
+
+
+def random_leaf(rng):
+    pick = rng.randrange(7)
+    if pick == 0:
+        if rng.random() < 0.5:
+            return rng.choice(FLOATS)
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300)
+    if pick == 1:
+        return rng.randint(-(10**45), 10**45) if rng.random() < 0.5 else rng.randint(-3, 3)
+    if pick == 2:
+        return "".join(rng.choice(CHARS) for _ in range(rng.randint(0, 6)))
+    return (None, True, False, [[]])[pick - 3]
+
+
+def random_ints(rng, n):
+    return [rng.choice((0, -7, 10**41, rng.randint(-(10**20), 10**20))) for _ in range(n)]
+
+
+def random_value(rng, depth):
+    """A nested value of the types reports hold, with the fast paths' near misses."""
+    pick = rng.randrange(9) if depth else 0
+    if pick < 2:
+        return random_leaf(rng)
+    n = rng.randint(0, 4)
+    if pick == 2:
+        keys = ("".join(rng.choice(CHARS) for _ in range(rng.randint(0, 3))) for _ in range(n))
+        return {key: random_value(rng, depth - 1) for key in keys}
+    if pick == 3:
+        return [random_value(rng, depth - 1) for _ in range(n)]
+    if pick == 4:
+        return tuple(random_value(rng, depth - 1) for _ in range(n))
+    if pick == 5:
+        return {} if rng.random() < 0.5 else {"": [], "a": {}, "b": [{}, [[]]]}
+    # int lists and [index, num, den] rows, some with one True or float in them
+    rows = pick == 6 or (pick == 8 and rng.random() < 0.5)
+    value = [random_ints(rng, 3) for _ in range(n + 1)] if rows else random_ints(rng, n + 1)
+    if pick == 8:
+        spoiler = rng.choice((True, False, 1.0, -0.0))
+        target = rng.choice(value) if rows else value
+        target[rng.randrange(len(target))] = spoiler
+    return tuple(value) if rng.random() < 0.1 else value
+
+
+class TestWriteJson:
+    """`write_json` is `json.dumps(..., indent=2, sort_keys=True)`, byte for byte."""
+
+    def test_random_nested_values(self):
+        rng = random.Random(20211)
+        for _ in range(1500):
+            value = random_value(rng, 4)
+            assert write_json(value) == dumps(value), value
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), [[]], {"b": 1, "a": [True, 1]}, [[0, True, 1]], [[0, 1.0, 1]], [1, 2.5],
+         [[1, 2], [3, 4, 5]], {"z": None, "é": "\u00e9"}, [math.nan, math.inf, -math.inf]],
+    )
+    def test_fast_path_near_misses(self, value):
+        assert write_json(value) == dumps(value)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_pinned_report(self, monkeypatch, capsys, name):
+        reports = []
+        emit = cli._emit
+
+        def spy(report, *rest):
+            reports.append(report)
+            return emit(report, *rest)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        cli.main(CASES[name][0])
+        capsys.readouterr()
+        assert len(reports) == 1
+        assert write_json(reports[0]) == dumps(reports[0])
+
+    @pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), {("a",): 1}, [object()]])
+    def test_what_json_refuses_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+        with pytest.raises(TypeError):
+            write_json(value)
+
+    def test_keys_must_be_text(self):
+        # json.dumps would write the key 1 as "1"; no report has a key that is not text
+        with pytest.raises(TypeError):
+            write_json({1: "a"})
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+    @pytest.mark.parametrize(
+        "value",
+        [10**5000, [10**5000], [[0, 10**5000, 1]], {"x": [-(10**5000)]}],
+        ids=["int", "int-list", "row", "nested"],
+    )
+    def test_past_the_digit_limit_is_the_budget_error_of_format_fraction(self, value):
+        with pytest.raises(BudgetExceededError) as exc:
+            format_fraction(Fraction(10**5000, 3))
+        with pytest.raises(BudgetExceededError) as written:
+            write_json(value)
+        assert str(written.value) == str(exc.value)
 
 
 class TestWeights:

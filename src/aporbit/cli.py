@@ -14,6 +14,12 @@ target m+1 times), while set-side code counts terms.  Configs may give
 either `m` or `length` (= m + 1); both are translated at parse time.  So
 does the exact/float choice: in float mode the runners wrap scalars in
 `DoubleScalars` and give every ball `FLOAT_SLACK`; the library takes no mode.
+
+Two tables state the flags once: `_FLAGS` lists each subcommand's config
+keys in `--help` order, and `_FLAG_KINDS` how the text of a flag that is
+not an integer becomes its config value.  The parser and the config merge
+both read them.  A runner's CSV rows are its payload's rows seen through
+the CSV header (`_table`).
 """
 
 import argparse
@@ -167,6 +173,11 @@ def _fr(value, mode):
     return float(value) if mode == "float" else format_fraction(value)
 
 
+def _table(items, header):
+    """The CSV rows of items (dicts): each item's values at the header's keys."""
+    return [tuple(item[key] for key in header) for item in items]
+
+
 def _settled(csv_header, csv_rows, verdict="value", verified=True, **fields):
     """The report of a settled result: exit 0 only when it is verified, else 1."""
     payload = {"verdict": verdict, "verified": verified, "conclusive": True, **fields}
@@ -223,25 +234,16 @@ def run_analyze_set(config, mode):
         raise SchemaError("$.window", "window exceeds horizon+1")
     witness = longest_ap(hits)
     dens = density_report(hits, window)
-    row = (
-        ("", "", "")
-        if witness is None
-        else (witness.initial, witness.step, witness.length)
-    )
+    header = ("initial", "step", "length")
+    longest = None if witness is None else {key: getattr(witness, key) for key in header}
     return _settled(
-        ("initial", "step", "length"),
-        [row],
+        header,
+        _table([longest or dict.fromkeys(header)], header),  # no progression: empty cells
         verified=witness is None or verify_witness(witness, hits),
         size=len(hits),
         horizon=hits.horizon,
         bounds=bounds,
-        longest_ap=None
-        if witness is None
-        else {
-            "initial": witness.initial,
-            "step": witness.step,
-            "length": witness.length,
-        },
+        longest_ap=longest,
         density={
             "lower_proxy": format_fraction(dens.lower_proxy),
             "upper_proxy": format_fraction(dens.upper_proxy),
@@ -260,24 +262,15 @@ def run_orbit(config, mode):
         raise SchemaError("$.x", "negative support in a unilateral space")
     bounds = {}
     horizon = _bound(config, "horizon", 20, bounds, minimum=0)
-    rows = []
-    csv_rows = []
+    header = ("n", "l1", "l2_squared", "sup")
     times = range(horizon + 1)
+    rows = []
     for n, v in zip(times, walk(op, x, times, scalars)):
-        l1, l2sq, sup = (norm_key(v, p) for p in (1, 2, INF))
+        l1, l2sq, sup = (_fr(norm_key(v, p), mode) for p in (1, 2, INF))
         rows.append(
-            {
-                "n": n,
-                "vector": vector_to_json(v),
-                "l1": _fr(l1, mode),
-                "l2_squared": _fr(l2sq, mode),
-                "sup": _fr(sup, mode),
-            }
+            {"n": n, "vector": vector_to_json(v), "l1": l1, "l2_squared": l2sq, "sup": sup}
         )
-        csv_rows.append((n, _fr(l1, mode), _fr(l2sq, mode), _fr(sup, mode)))
-    return _settled(
-        ("n", "l1", "l2_squared", "sup"), csv_rows, bounds=bounds, points=rows
-    )
+    return _settled(header, _table(rows, header), bounds=bounds, points=rows)
 
 
 def run_return_set(config, mode):
@@ -317,7 +310,7 @@ def run_shift_check(config, mode):
         for m in range(1, m_max + 1)
     ]
     header = ("p", "m", "q")
-    rows = [(c["p"], c["m"], "" if c["q"] is None else c["q"]) for c in cells]
+    rows = _table(cells, header)
     fields = {"epsilon": format_fraction(epsilon), "grid": cells}
     if None in grid.values():
         return _exhausted(bounds, header, rows, **fields)
@@ -387,34 +380,19 @@ def run_gowers(config, mode):
         ls = list(range(lo, hi + 1))
     else:
         raise SchemaError("$", "missing l (or l_min/l_max)")
-    rows = gowers_table(ls)
-    csv_rows = [
-        (
-            r.l,
-            r.m_l,
-            repr(r.f_at_m_l),
-            "" if r.bound_r3 is None else repr(r.bound_r3),
-            "" if r.k_of_n is None else r.k_of_n,
-            r.vacuous,
-        )
-        for r in rows
-    ]
     header = ("l", "m_l", "f_at_m_l", "bound_r3", "k_of_n", "vacuous_flag")
-    return _settled(
-        header,
-        csv_rows,
-        rows=[
-            {
-                "l": r.l,
-                "m_l": r.m_l,
-                "f_at_m_l": r.f_at_m_l,
-                "bound_r3": r.bound_r3,
-                "k_of_n": r.k_of_n,
-                "vacuous_flag": r.vacuous,
-            }
-            for r in rows
-        ],
-    )
+    rows = [
+        {
+            "l": r.l,
+            "m_l": r.m_l,
+            "f_at_m_l": r.f_at_m_l,
+            "bound_r3": r.bound_r3,
+            "k_of_n": r.k_of_n,
+            "vacuous_flag": r.vacuous,
+        }
+        for r in gowers_table(ls)
+    ]
+    return _settled(header, _table(rows, header), rows=rows)
 
 
 def run_szemeredi(config, mode):
@@ -435,7 +413,7 @@ def run_vdw(config, mode):
     forced = coloring is None
     return _settled(
         ("n", "k", "forced", "coloring"),
-        [(n, k, forced, coloring or "")],
+        [(n, k, forced, coloring)],
         verified=forced or coloring_avoids_progressions(coloring, k),
         bounds=bounds,
         n=n,
@@ -489,23 +467,20 @@ def run_nested(config, mode):
             "q": None if st.witness is None else st.witness.q,
         }
 
+    header = ("stage", "q", "radius")
     try:
         stages = nested_ball_refinement(weights, ball, count, q_max)
     except StageFailureError as exc:
         return _exhausted(
             bounds,
-            ("stage", "q", "radius"),
+            header,
             failed_stage=exc.stage,
             stages=[stage_json(st, i) for i, st in enumerate(exc.completed)],
         )
     stage_list = [stage_json(st, i) for i, st in enumerate(stages)]
-    csv_rows = [
-        (s["stage"], "" if s["q"] is None else s["q"], s["radius"])
-        for s in stage_list
-    ]
     return _settled(
-        ("stage", "q", "radius"),
-        csv_rows,
+        header,
+        _table(stage_list, header),
         "witness",
         all(st.witness.verified for st in stages[1:]),
         bounds=bounds,
@@ -626,72 +601,35 @@ def _add_common(sp):
     sp.add_argument("--output", choices=("json", "csv"), default="json")
 
 
-# (config key, conversion); the flag is the key with "-" for "_"
-_INT = "int"
+# The conversion of each flag whose value is not an integer; every other flag
+# is an integer.  A flag is its config key with "-" for "_".
 _RAW = "raw"  # keep the string as-is (rationals)
 _JSON = "json"  # parse the string as a JSON value
 _VEC = "vec"  # JSON triples when it starts with "[", else shorthand like "e0"
 _KIND = "kind"  # a JSON object when it starts with "{", else a kind name like "one"
 _JSON_OPENER = {_VEC: "[", _KIND: "{"}
+_FLAG_KINDS = {
+    **dict.fromkeys(("set", "operator", "weights", "p", "ball", "u", "v1", "v2"), _JSON),
+    "scalars": _KIND,
+    "x": _VEC,
+    "y": _VEC,
+    "epsilon": _RAW,
+}
 
-_OVERLAYS = {
-    "analyze-set": [("window", _INT), ("horizon", _INT), ("set", _JSON)],
-    "orbit": [("operator", _JSON), ("scalars", _KIND), ("x", _VEC), ("horizon", _INT)],
-    "return-set": [
-        ("operator", _JSON),
-        ("scalars", _KIND),
-        ("x", _VEC),
-        ("ball", _JSON),
-        ("horizon", _INT),
-    ],
-    "shift-check": [
-        ("weights", _JSON),
-        ("p", _JSON),
-        ("epsilon", _RAW),
-        ("p_max", _INT),
-        ("m_max", _INT),
-        ("q_max", _INT),
-    ],
-    "multirec": [
-        ("weights", _JSON),
-        ("p", _JSON),
-        ("ball", _JSON),
-        ("m", _INT),
-        ("length", _INT),
-        ("q_max", _INT),
-    ],
-    "universal": [("scalars", _KIND), ("y", _VEC), ("m", _INT), ("k", _INT), ("p", _JSON)],
-    "gowers": [("l", _INT), ("l_min", _INT), ("l_max", _INT)],
-    "szemeredi": [("n", _INT), ("k", _INT), ("budget", _INT)],
-    "vdw": [("n", _INT), ("k", _INT), ("budget", _INT)],
-    "pair-search": [
-        ("weights", _JSON),
-        ("p", _JSON),
-        ("u", _JSON),
-        ("v1", _JSON),
-        ("v2", _JSON),
-        ("m", _INT),
-        ("length", _INT),
-        ("a_max", _INT),
-        ("q_max", _INT),
-    ],
-    "nested": [
-        ("weights", _JSON),
-        ("p", _JSON),
-        ("ball", _JSON),
-        ("stages", _INT),
-        ("q_max", _INT),
-    ],
-    "puig-count": [
-        ("scalars", _KIND),
-        ("operator", _JSON),
-        ("x", _VEC),
-        ("ball", _JSON),
-        ("m", _INT),
-        ("length", _INT),
-        ("q", _INT),
-        ("horizon", _INT),
-    ],
+# each subcommand's config keys that have a flag, in the order of its --help
+_FLAGS = {
+    "analyze-set": ("window", "horizon", "set"),
+    "orbit": ("operator", "scalars", "x", "horizon"),
+    "return-set": ("operator", "scalars", "x", "ball", "horizon"),
+    "shift-check": ("weights", "p", "epsilon", "p_max", "m_max", "q_max"),
+    "multirec": ("weights", "p", "ball", "m", "length", "q_max"),
+    "universal": ("scalars", "y", "m", "k", "p"),
+    "gowers": ("l", "l_min", "l_max"),
+    "szemeredi": ("n", "k", "budget"),
+    "vdw": ("n", "k", "budget"),
+    "pair-search": ("weights", "p", "u", "v1", "v2", "m", "length", "a_max", "q_max"),
+    "nested": ("weights", "p", "ball", "stages", "q_max"),
+    "puig-count": ("scalars", "operator", "x", "ball", "m", "length", "q", "horizon"),
 }
 
 
@@ -726,12 +664,12 @@ def _new_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, overlays in _OVERLAYS.items():
+    for name, keys in _FLAGS.items():
         sp = sub.add_parser(name)
         _add_common(sp)
-        for key, kind in overlays:
+        for key in keys:
             flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, type=int if kind == _INT else None)
+            sp.add_argument(flag, type=None if key in _FLAG_KINDS else int)
     sweep = sub.add_parser("sweep")
     _add_common(sweep)
     sweep.add_argument("--command", required=True, help="subcommand to sweep")
@@ -771,10 +709,11 @@ def _load_config(path):
 
 def _merge_config(args, name):
     config = _load_config(args.config)
-    for key, kind in _OVERLAYS[name]:
+    for key in _FLAGS[name]:
         value = getattr(args, key)
         if value is None:
             continue
+        kind = _FLAG_KINDS.get(key)
         opener = _JSON_OPENER.get(kind)
         if kind == _JSON or (opener and value.lstrip().startswith(opener)):
             with _malformed(f"$.{key}", "flag is not valid JSON"):

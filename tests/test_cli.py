@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line front end (in-process, plus one subprocess)."""
 
+import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -674,6 +676,86 @@ class TestConfig:
 
 
 # ---------------------------------------------------------------------------
+# input errors, each with its exact message
+
+
+def assert_input_error(capsys, argv, error):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, json.loads(out)) == (
+        2,
+        {"command": argv[0], "mode": "exact", "verdict": "error", "verified": False,
+         "error": error},
+    )
+    assert err == f"error: {error}\n"
+
+
+class TestInputErrors:
+    UNIT = '{"kind": "unit"}'
+    BALL = '{"center": "e0", "radius": "1/2"}'
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["szemeredi"], "$.n: missing required integer"),
+            (["multirec", "--weights", UNIT, "--ball", BALL],
+             "$: missing m (extra returns) or length (term count)"),
+            (["analyze-set", "--set", '[1, "2"]'], "$.set: expected a list of integers"),
+            (["analyze-set", "--set", "[-1]"], "$.set: set elements must be non-negative"),
+            (["analyze-set", "--set", "[1,2]", "--window", "5"],
+             "$.window: window exceeds horizon+1"),
+            (["sweep", "--command", "analyze-set", "--grid", '{"window": [1]}'],
+             "$.set: missing integer set"),
+            (["orbit", "--operator", '{"kind": "backward"}', "--x", "e-1"],
+             "$.x: negative support in a unilateral space"),
+            (["shift-check", "--weights", UNIT], "$.epsilon: missing required rational"),
+            (["shift-check", "--weights", UNIT, "--epsilon", "0"],
+             "$.epsilon: epsilon must be positive"),
+            (["universal", "--y", "e0", "--m", "1", "--k", "2"],
+             "$.scalars: missing scalar sequence"),
+            (["gowers", "--l-min", "9", "--l-max", "5"], "$.l_max: l_max must be >= l_min"),
+            (["gowers"], "$: missing l (or l_min/l_max)"),
+            (["sweep", "--command", "bogus", "--grid", "{}"],
+             "$.command: unknown subcommand 'bogus'"),
+            (["sweep", "--command", "gowers", "--grid", "[1]"],
+             "$.grid: expected an object mapping keys to value lists"),
+            (["sweep", "--command", "gowers", "--grid", '{"l": 5}'],
+             "$.grid.l: expected a list of values"),
+            # the keys are set in sorted order, so weights.value is 2 when weights.value.x is set
+            (["sweep", "--command", "multirec", "--grid",
+              '{"weights": [{"kind": "constant", "value": 2}], "weights.value.x": [1]}'],
+             "$.weights.value.x: cannot descend into non-object at 'value'"),
+        ],
+        ids=[
+            "szemeredi-no-n", "multirec-no-m", "set-not-integers", "set-negative",
+            "window-past-horizon", "sweep-no-set", "orbit-negative-support", "no-epsilon",
+            "epsilon-zero", "universal-no-scalars", "gowers-l-max-below-l-min", "gowers-no-l",
+            "sweep-unknown-command", "sweep-grid-not-object", "sweep-grid-values-not-list",
+            "sweep-dotted-key-through-non-object",
+        ],
+    )
+    def test_message(self, capsys, argv, error):
+        assert_input_error(capsys, argv, error)
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            ('{"n": "5"}', "$.n: expected an integer, got '5'"),
+            ("[1, 2]", "$: config file must hold a JSON object"),
+        ],
+        ids=["n-not-integer", "not-an-object"],
+    )
+    def test_config_file(self, capsys, tmp_path, content, error):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(content)
+        assert_input_error(capsys, ["szemeredi", "--config", str(cfg_file)], error)
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        error = f"$: cannot read config file: [Errno 2] No such file or directory: {path!r}"
+        assert_input_error(capsys, ["szemeredi", "--config", path], error)
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 
@@ -697,6 +779,30 @@ class TestSweep:
         assert lines[0] == "n,n,k,r"
         assert lines[1] == "4,4,3,3"
         assert lines[2] == "5,5,3,4"
+
+    def test_csv_over_dotted_keys_with_a_config_base(self, capsys, tmp_path):
+        # the base has no ball: ball.center creates it and ball.radius descends into it
+        base = {"weights": {"kind": "constant", "value": "2"}, "m": 1, "q_max": 10}
+        cfg_file = tmp_path / "base.json"
+        cfg_file.write_text(json.dumps(base))
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--command", "multirec", "--config", str(cfg_file), "--grid",
+             '{"ball.center": ["e0", [[1,1,2]]], "ball.radius": ["1/2", "1/4"]}',
+             "--output", "csv"],
+        )
+        assert code == 0
+        assert out == (
+            "ball.center,ball.radius,j,time,distance\n"
+            "e0,1/2,0,0,1/4\n"
+            "e0,1/2,1,2,0/1\n"
+            "e0,1/4,0,0,1/8\n"
+            "e0,1/4,1,3,0/1\n"
+            '"[[1, 1, 2]]",1/2,0,0,1/8\n'
+            '"[[1, 1, 2]]",1/2,1,2,0/1\n'
+            '"[[1, 1, 2]]",1/4,0,0,1/8\n'
+            '"[[1, 1, 2]]",1/4,1,2,0/1\n'
+        )
 
     def test_config_file_is_the_base(self, capsys, tmp_path):
         base = {"weights": {"kind": "unit"}, "ball": {"center": "e0", "radius": "1/4"}, "m": 1}
@@ -755,6 +861,163 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "--command", "gowers", "--grid", "{nope"])
         assert code == 2
         assert "grid" in err
+
+
+# ---------------------------------------------------------------------------
+# seeded random configs
+
+
+def _triples(rng):
+    indices = sorted(rng.sample(range(6), rng.randint(0, 3)))
+    return [[i, rng.randint(-3, 3), rng.randint(1, 4)] for i in indices]
+
+
+def _weights(rng):
+    return rng.choice([
+        {"kind": "constant", "value": rng.choice(["2", "3/2", "1/2", 1])},
+        {"kind": "unit"},
+        {"kind": "valley", "depth": rng.randint(1, 2)},
+        {"kind": "explicit", "values": rng.choices(["2", "1/2", 3], k=rng.randint(1, 6))},
+    ])
+
+
+def _operator(rng, depth=0):
+    shift = {"kind": rng.choice(["backward", "forward"]), "weights": _weights(rng)}
+    if rng.random() < 0.3:
+        shift["laterality"] = "bilateral"
+    if depth > 0 or rng.random() < 0.6:
+        return shift
+    inner = _operator(rng, depth + 1)
+    return rng.choice([
+        {"kind": "power", "exponent": rng.randint(1, 3), "inner": inner},
+        {"kind": "scaled", "scalar": rng.choice(["-1/2", "2", 0]), "inner": inner},
+        {"kind": "direct-sum", "parts": [inner, _operator(rng, depth + 1)]},
+    ])
+
+
+def _ball(rng):
+    ball = {"center": rng.choice(["e0", "e1", [], _triples(rng)]),
+            "radius": rng.choice(["1/2", "1/4", "1/8", "1", "3/2", "2", "0"])}
+    if rng.random() < 0.3:
+        ball["p"] = rng.choice([1, 2, "inf"])
+    return ball
+
+
+def _l_min(rng):
+    return rng.randint(4, 20)
+
+
+# a valid-looking value of each config key; a few are out of range on purpose
+VALID = {
+    "set": lambda rng: [rng.randint(0, 15) for _ in range(rng.randint(0, 20))],
+    "window": lambda rng: rng.randint(1, 6),
+    "horizon": lambda rng: rng.randint(0, 30),
+    "operator": _operator,
+    "scalars": lambda rng: rng.choice(
+        ["one", "dyadic-sqrt", "exp-sqrt", {"kind": "explicit", "values": ["2", "-1/2", 3] * 12}]
+    ),
+    "x": lambda rng: rng.choice(["e0", "e2", "e5", _triples(rng)]),
+    "y": lambda rng: rng.choice(["e0", "e1", _triples(rng)]),
+    "ball": _ball,
+    "u": _ball,
+    "v1": _ball,
+    "v2": _ball,
+    "weights": _weights,
+    "p": lambda rng: rng.choice([1, 2, "inf"]),
+    "epsilon": lambda rng: rng.choice(["1/4", "1/2", "1", "0"]),
+    "p_max": lambda rng: rng.randint(0, 2),
+    "m_max": lambda rng: rng.randint(1, 2),
+    "q_max": lambda rng: rng.randint(1, 30),
+    "a_max": lambda rng: rng.randint(1, 10),
+    "m": lambda rng: rng.randint(0, 2),
+    "length": lambda rng: rng.randint(1, 3),
+    "k": lambda rng: rng.randint(1, 4),
+    "q": lambda rng: rng.randint(1, 4),
+    "n": lambda rng: rng.randint(1, 10),
+    "budget": lambda rng: rng.randint(1, 30),
+    "stages": lambda rng: rng.randint(0, 2),
+    "l": lambda rng: rng.randint(3, 40),
+    "l_min": _l_min,
+    "l_max": lambda rng: _l_min(rng) + rng.randint(-2, 8),
+}
+WRONG = ["x", 1.5, True, None, [], {}, "7", -1, [[0]]]
+
+# each subcommand's keys; a group of alternatives (space-separated key lists) gives one
+COMMAND_KEYS = {
+    "analyze-set": ["set", "window", "horizon"],
+    "orbit": ["operator", "scalars", "x", "horizon"],
+    "return-set": ["operator", "scalars", "x", "ball", "horizon"],
+    "shift-check": ["weights", "p", "epsilon", "p_max", "m_max", "q_max"],
+    "multirec": ["weights", "p", "ball", ("m", "length"), "q_max"],
+    "universal": ["scalars", "y", "m", "k", "p"],
+    "gowers": [("l", "l_min l_max")],
+    "szemeredi": ["n", "k", "budget"],
+    "vdw": ["n", "k", "budget"],
+    "pair-search": ["weights", "p", "u", "v1", "v2", ("m", "length"), "a_max", "q_max"],
+    "nested": ["weights", "p", "ball", "stages", "q_max"],
+    "puig-count": ["scalars", "operator", "x", "ball", ("m", "length"), "q", "horizon"],
+}
+# flags whose text is taken as it is when it is not JSON
+_TEXT_FLAGS = {"scalars", "x", "y", "epsilon"}
+
+
+def random_call(rng, config_path):
+    """A random CLI call: argv, with part of its config written to config_path.
+
+    Each key is mostly valid, sometimes missing and sometimes of a wrong
+    type; it goes in the config file or in its flag.
+    """
+    name = rng.choice(sorted(COMMAND_KEYS))
+    config = {}
+    for entry in COMMAND_KEYS[name]:
+        keys = rng.choice(entry).split() if isinstance(entry, tuple) else [entry]
+        for key in keys:
+            draw = rng.random()
+            if draw < 0.85:
+                config[key] = VALID[key](rng)
+            elif draw < 0.93:
+                config[key] = rng.choice(WRONG)
+    argv = ["--mode", rng.choice(["exact", "float"]), "--output", rng.choice(["json", "csv"])]
+    if rng.random() < 0.1:
+        # a sweep over one key of the config
+        key = rng.choice(sorted(config) or ["q_max"])
+        values = [config.pop(key, 1), VALID[key](rng)]
+        argv = ["sweep", "--command", name, "--grid", json.dumps({key: values})] + argv
+        file_config = config
+    else:
+        argv = [name] + argv
+        file_config = {}
+        for key, value in config.items():
+            if rng.random() < 0.5:
+                file_config[key] = value
+                continue
+            text = value if key in _TEXT_FLAGS and isinstance(value, str) else json.dumps(value)
+            argv += ["--" + key.replace("_", "-"), text]
+    if file_config or rng.random() < 0.2:
+        config_path.write_text(json.dumps(file_config))
+        argv += ["--config", str(config_path)]
+    return argv
+
+
+class TestRandomConfigs:
+    def test_every_report_has_its_documented_shape(self, capsys, tmp_path, monkeypatch):
+        rng = random.Random(20261022)
+        config_path = tmp_path / "config.json"
+        seen = set()
+        for _ in range(4000):
+            argv = random_call(rng, config_path)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+            code, out, err = run_cli(capsys, argv)
+            seen.add(code)
+            assert code in (0, 1, 2), (argv, out, err)
+            if code == 2:
+                report = json.loads(out)
+                assert set(report) == {"command", "mode", "verdict", "verified", "error"}
+                assert err == f"error: {report['error']}\n", argv
+            elif "csv" in argv:
+                header, *rows = csv.reader(io.StringIO(out))
+                assert all(len(row) == len(header) for row in rows), argv
+        assert seen == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Each case pins one report byte for byte, so a change that alters any
 report, down to a key order or a trailing newline, fails here.  The cases
 cover every subcommand, the four exhausted-search payloads (in JSON and
-CSV), float mode (with balls a part in 10^12 from a gap, where float
-and exact mode pick different steps), a schema error, a flag that is not
-JSON, one past Python's digit limit, and explicit weights that run out
-mid-search.  After an intended report change, re-pin a case with
-`report_digest`.
+CSV), CSV tables with empty cells, floats and booleans, float mode (with
+balls a part in 10^12 from a gap, where float and exact mode pick
+different steps), a schema error, a flag that is not JSON, one past
+Python's digit limit, and explicit weights that run out mid-search.
+After an intended report change, re-pin a case with `report_digest`.
 """
 
 import hashlib
@@ -178,6 +178,25 @@ CASES = {
          "--stages", "1", "--q-max", "15", "--output", "csv"],
         1,
         "969158cec00ca03432288d95d589c1c1945ae202a909a217590d1aee66a2c2a5",
+    ),
+    # floats, empty (null) cells and booleans in the CSV cells
+    "gowers-csv": (
+        ["gowers", "--l-min", "4", "--l-max", "40", "--output", "csv"],
+        0,
+        "7fe8c27479b3e395c8dd62f1b6298dbaccb2c421a43daaafa8edcbd61cf12971",
+    ),
+    # stage 0 has no step: its q cell is empty
+    "nested-csv": (
+        ["nested", "--weights", CONST2, "--ball", '{"center": "e0", "radius": "1/2"}',
+         "--stages", "2", "--q-max", "64", "--output", "csv"],
+        0,
+        "e29b2135602cf99c7bf6a2f188f3037ad1bb1445ac518c0ebebf5ca5efd785db",
+    ),
+    # no progression: one blank row
+    "analyze-set-empty-csv": (
+        ["analyze-set", "--set", "[]", "--output", "csv"],
+        0,
+        "f38ba01593002c20dd00236400201f4e75aea9b34ec7cd39d1b7d1db17439ee4",
     ),
     "flag-not-json": (
         ["multirec", "--weights", CONST2, "--ball", "{bad", "--m", "1"],
